@@ -38,6 +38,7 @@ from .fiber import (
     FiberChannel,
     apply_gvd,
     channel_operator,
+    drift_operators,
     drift_sample,
     drift_walk,
     required_grid_n,
@@ -97,6 +98,7 @@ __all__ = [
     "apply_to_slice",
     "backward",
     "channel_operator",
+    "drift_operators",
     "drift_sample",
     "drift_timeseries",
     "drift_walk",

@@ -17,6 +17,7 @@ lines, so a result file is reproducible from its own header.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import sys
@@ -301,6 +302,19 @@ def _load_config(
     )
 
 
+def _say(text: str) -> None:
+    """Print one line; a reader that closed stdout early stops nothing."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Send later lines and the flush at exit to devnull, quietly.
+        with contextlib.suppress(OSError):  # also io.UnsupportedOperation: no descriptor
+            stdout_fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout_fd)
+            os.close(devnull)
+
+
 def _require_dispersion(cfg: ScenarioConfig) -> float:
     scale = tau_f(cfg.fiber, cfg.crystal)
     if scale <= 0.0:
@@ -402,7 +416,7 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
         fid_p.append(res.psi_plus_fidelity)
         fid_m.append(res.psi_minus_fidelity)
         n_samp.append(res.n_samples)
-        print(
+        _say(
             f"{name}: window center {window.center:.6g} s, "
             f"psi+ fidelity {res.psi_plus_fidelity:.6f}, "
             f"psi- fidelity {res.psi_minus_fidelity:.6f}"
@@ -430,7 +444,7 @@ def scenario_drift_series(cfg: ScenarioConfig) -> list[Path]:
     times = np.arange(0.0, duration + interval / 2.0, interval)
     single = drift_timeseries("single", cfg.fiber.drift, times)
     both = drift_timeseries("go_and_return", cfg.fiber.drift, times)
-    print(
+    _say(
         f"single pass: visibility range {np.ptp(single[:, 1]):.3f}; "
         f"go-and-return: std {np.std(both[:, 1]):.3e}"
     )
@@ -464,9 +478,14 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
     hist_minus = simulate_histogram(minus, seed=cfg.seed + 1, **common)
     window = PostSelectionWindow(0.0, float(cfg["histogram.visibility_half_width_s"]))
     est = estimate_visibility(hist_plus, hist_minus, window)
-    print(f"visibility {est.value:.4f} +- {est.sigma:.4f} (background subtracted)")
+    if est.background_channels:
+        how = "background subtracted"
+    else:
+        how = "background not subtracted: no channel beyond 3 signal supports"
+    _say(f"visibility {est.value:.4f} +- {est.sigma:.4f} ({how})")
     meta = cfg.metadata("histogram")
     meta["derived.pair_transmittance"] = pair_transmittance
+    meta["diag.background_channels"] = est.background_channels
     out = _out_dir(cfg)
     paths = []
     for name, hist in (("plus", hist_plus), ("minus", hist_minus)):
@@ -524,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     for path in paths:
-        print(path)
+        _say(str(path))
     return 0
 
 

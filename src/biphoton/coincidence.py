@@ -21,9 +21,9 @@ import numpy as np
 from .correlation import CorrelationResult, PostSelectionWindow
 from .csvio import write_csv
 from .errors import DegenerateInputError, EmptyWindowError
-from .fiber import DriftProcess, drift_walk
-from .jones import analyzer_vector, round_trip
-from .state import apply_to_slice
+from .fiber import DriftProcess, drift_operators
+from .jones import analyzer_vector
+from .state import BellTarget
 
 _BATCH_SIZE = 1 << 18
 
@@ -222,6 +222,7 @@ class VisibilityEstimate:
     s_minus: float
     background_plus: float
     background_minus: float
+    background_channels: int  # per arm; 0 means no background was subtracted
 
 
 def _window_sums(hist: Histogram, window: PostSelectionWindow, support: float):
@@ -236,7 +237,7 @@ def _window_sums(hist: Histogram, window: PostSelectionWindow, support: float):
     raw = float(np.sum(hist.counts[in_window]))
     s = raw - n_win * bg_per_channel
     var = raw + (n_win**2) * (bg_per_channel / n_bg if n_bg else 0.0)
-    return s, var, bg_per_channel
+    return s, var, bg_per_channel, n_bg
 
 
 def estimate_visibility(
@@ -245,10 +246,11 @@ def estimate_visibility(
     """Visibility of two measured histograms over a coincidence window.
 
     The flat background level is estimated per histogram from channels more
-    than three signal supports away from zero delay and subtracted.  A ratio
-    of counts only, so jointly rescaling both acquisition times changes
-    nothing.  Returns nan (with nan sigma) when the subtracted signal sums
-    to zero or less.
+    than three signal supports away from zero delay and subtracted; with no
+    channel that far out nothing is subtracted (``background_channels`` 0).
+    A ratio of counts only, so jointly rescaling both acquisition times
+    changes nothing.  Returns nan (with nan sigma) when the subtracted signal
+    sums to zero or less.
     """
     same = (
         plus.channel_width == minus.channel_width
@@ -258,8 +260,8 @@ def estimate_visibility(
     if not same:
         raise ValueError("histograms have mismatched channel geometry")
     support = max(plus.signal_support, minus.signal_support)
-    s_p, var_p, bg_p = _window_sums(plus, window, support)
-    s_m, var_m, bg_m = _window_sums(minus, window, support)
+    s_p, var_p, bg_p, n_bg = _window_sums(plus, window, support)
+    s_m, var_m, bg_m, _ = _window_sums(minus, window, support)
     total = s_p + s_m
     if total <= 0.0:
         return VisibilityEstimate(
@@ -269,6 +271,7 @@ def estimate_visibility(
             s_minus=s_m,
             background_plus=bg_p,
             background_minus=bg_m,
+            background_channels=n_bg,
         )
     value = (s_p - s_m) / total
     sigma = 2.0 / total**2 * np.sqrt(s_m**2 * var_p + s_p**2 * var_m)
@@ -279,10 +282,8 @@ def estimate_visibility(
         s_minus=s_m,
         background_plus=bg_p,
         background_minus=bg_m,
+        background_channels=n_bg,
     )
-
-
-_PSI_PLUS_SLICE = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / np.sqrt(2.0)
 
 
 def drift_timeseries(
@@ -294,24 +295,13 @@ def drift_timeseries(
     'go_and_return' applies the Faraday-mirror round trip built from the
     same unitary.  Returns an array of rows (t, visibility).
     """
-    if scenario not in ("single", "go_and_return"):
-        raise ValueError(f"unknown scenario {scenario!r}")
     times = np.asarray(sample_times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("sample_times must be a non-empty 1-d sequence")
-    if np.any(~np.isfinite(times)) or np.any(times < 0.0):
-        raise ValueError("sample_times must be finite and >= 0")
-    steps = np.floor(times / drift.time_step).astype(int)
-    walk = drift_walk(drift, int(np.max(steps)))
+    ops = drift_operators(drift, times, scenario)
+    # Amplitudes <e_+, e_y| (op x op) |psi+> for the analyzer pairs y = +, -.
     e_p = analyzer_vector(np.pi / 4.0).conj()
-    e_m = analyzer_vector(-np.pi / 4.0).conj()
-    out = np.empty((len(times), 2))
-    for i, (t, k) in enumerate(zip(times, steps)):
-        u = walk[k]
-        op = u if scenario == "single" else round_trip(u)
-        s = apply_to_slice(_PSI_PLUS_SLICE, op)
-        g_plus = abs(e_p @ s @ e_p) ** 2
-        g_minus = abs(e_p @ s @ e_m) ** 2
-        out[i, 0] = t
-        out[i, 1] = (g_plus - g_minus) / (g_plus + g_minus)
-    return out
+    e_y = np.stack([e_p, analyzer_vector(-np.pi / 4.0).conj()])
+    amp = np.einsum(
+        "a,tac,cd,yb,tbd->ty", e_p, ops, BellTarget.psi_plus().amplitude, e_y, ops, optimize=True
+    )
+    g_plus, g_minus = (np.abs(amp) ** 2).T
+    return np.column_stack([times, (g_plus - g_minus) / (g_plus + g_minus)])

@@ -6,9 +6,11 @@ add and the linear ones cancel).  For large k2*z the channel acts like a
 far-field imaging system in time: the coincidence distribution becomes the
 image of the spectral amplitude under tau = 2 k2 z Omega.
 
-Slow polarization drift of the fiber is a seeded random walk on U(2); in the
+Slow polarization drift of the fiber is a seeded random walk on SU(2); in the
 go-and-return arrangement the walk is conjugated through the Faraday mirror
-and drops out entirely.
+and drops out entirely.  The walk's prefix products are taken in blocks of
+a fixed length, so a longer horizon never changes an earlier step's
+unitary, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .state import BiphotonState, CrystalParams
 # Independent substreams of a DriftProcess seed.
 _STREAM_AXIS = 0
 _STREAM_ANGLE = 1
+# Prefix-product block length; fixed so that results never depend on the horizon.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -59,14 +63,36 @@ class DriftProcess:
 def drift_walk(process: DriftProcess, n_steps: int) -> np.ndarray:
     """Unitaries at walk steps 0..n_steps (inclusive), step 0 = identity.
 
-    Deterministic in (seed, n_steps): axis and angle draws come from two
-    independent substreams, so extending the horizon never changes the
-    prefix of the trajectory.
+    Each step is an SU(2) rotation, kept as the pair (a, b) of
+    u = [[a, -conj(b)], [b, conj(a)]].  Deterministic in (seed, n_steps): axis
+    and angle draws come from two independent substreams, and prefix products
+    run in blocks of the fixed length ``_BLOCK``, so extending the horizon
+    never changes the prefix of the trajectory, bit for bit.
     """
+    n_blocks = -(-n_steps // _BLOCK)
+    a, b = (x.reshape(n_blocks, _BLOCK) for x in _step_pairs(process, n_steps, n_blocks * _BLOCK))
+    # Prefix products within each block, all blocks at once.
+    for j in range(1, min(_BLOCK, n_steps)):
+        a[:, j], b[:, j] = _su2_mul(a[:, j], b[:, j], a[:, j - 1], b[:, j - 1])
+    # carry[m] is the product of every step before block m.
+    carry = [(1.0 + 0.0j, 0.0j)]
+    for last in zip(a[:-1, -1].tolist(), b[:-1, -1].tolist()):
+        carry.append(_su2_mul(*last, *carry[-1]))
+    carry_a, carry_b = np.array(carry).T[:, :, None]
+    a, b = _su2_mul(a, b, carry_a, carry_b)
+    a = a.reshape(-1)[:n_steps]
+    b = b.reshape(-1)[:n_steps]
     out = np.empty((n_steps + 1, 2, 2), dtype=complex)
     out[0] = np.eye(2)
-    if n_steps == 0:
-        return out
+    out[1:, 0, 0] = a
+    out[1:, 0, 1] = -b.conj()
+    out[1:, 1, 0] = b
+    out[1:, 1, 1] = a.conj()
+    return out
+
+
+def _step_pairs(process: DriftProcess, n_steps: int, size: int):
+    """SU(2) pairs (a, b) of the walk's steps, padded with identities to ``size``."""
     rng_axis = np.random.default_rng(np.random.SeedSequence([process.seed, _STREAM_AXIS]))
     rng_angle = np.random.default_rng(np.random.SeedSequence([process.seed, _STREAM_ANGLE]))
     axes = rng_axis.normal(size=(n_steps, 3))
@@ -80,26 +106,42 @@ def drift_walk(process: DriftProcess, n_steps: int) -> np.ndarray:
     angles = rng_angle.normal(size=n_steps) * sigma
     c = np.cos(angles / 2.0)
     s = np.sin(angles / 2.0)
-    u = np.eye(2, dtype=complex)
-    for j in range(n_steps):
-        nx, ny, nz = axes[j]
-        step = np.array(
-            [
-                [c[j] - 1j * s[j] * nz, (-1j * nx - ny) * s[j]],
-                [(-1j * nx + ny) * s[j], c[j] + 1j * s[j] * nz],
-            ]
-        )
-        u = step @ u
-        out[j + 1] = u
-    return out
+    a = np.ones(size, dtype=complex)
+    b = np.zeros(size, dtype=complex)
+    a.real[:n_steps] = c
+    a.imag[:n_steps] = -s * axes[:, 2]
+    b.real[:n_steps] = axes[:, 1] * s
+    b.imag[:n_steps] = -axes[:, 0] * s
+    return a, b
+
+
+def _su2_mul(a1, b1, a2, b2):
+    """Pair of u1 @ u2 for SU(2) pairs u = [[a, -conj(b)], [b, conj(a)]]."""
+    return a1 * a2 - b1.conjugate() * b2, b1 * a2 + a1.conjugate() * b2
 
 
 def drift_sample(process: DriftProcess, t: float) -> np.ndarray:
     """Fiber unitary at time t (piecewise constant over walk steps)."""
-    if not np.isfinite(t) or t < 0.0:
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
-    k = int(np.floor(t / process.time_step))
-    return drift_walk(process, k)[k]
+    return drift_operators(process, [t], "single")[0]
+
+
+def drift_operators(drift: DriftProcess, times, passes: str) -> np.ndarray:
+    """Polarization operators of the channel at each of ``times``, shape (T, 2, 2).
+
+    Drift is lumped at the fiber midpoint; a single pass sees it once, the
+    go-and-return arrangement sees it forward, then mirrored, then reversed,
+    which reduces it to a constant Faraday mirror times a phase.
+    """
+    if passes not in ("single", "go_and_return"):
+        raise ValueError(f"unknown passes mode {passes!r}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError("sample times must be a non-empty 1-d sequence")
+    if np.any(~np.isfinite(times)) or np.any(times < 0.0):
+        raise ValueError("sample times must be finite and >= 0")
+    steps = np.floor(times / drift.time_step).astype(int)
+    u = drift_walk(drift, int(np.max(steps)))[steps]
+    return u if passes == "single" else round_trip(u)
 
 
 @dataclass(frozen=True)
@@ -168,16 +210,8 @@ def apply_gvd(state: BiphotonState, fiber: FiberChannel) -> BiphotonState:
 
 
 def channel_operator(fiber: FiberChannel, t: float) -> np.ndarray:
-    """Polarization operator of the channel at time t.
-
-    Drift is lumped at the fiber midpoint; a single pass sees it once, the
-    go-and-return arrangement sees it forward, then mirrored, then reversed,
-    which reduces it to a constant Faraday mirror times a phase.
-    """
-    u = drift_sample(fiber.drift, t)
-    if fiber.passes == "single":
-        return u
-    return round_trip(u)
+    """Polarization operator of the channel at time t (see ``drift_operators``)."""
+    return drift_operators(fiber.drift, [t], fiber.passes)[0]
 
 
 def transmittance(fiber: FiberChannel) -> float:

@@ -99,31 +99,36 @@ def backward(u: np.ndarray) -> np.ndarray:
 
     Reciprocal propagation reverses the element order and flips the
     handedness of the transverse frame, giving sigma_z @ u.T @ sigma_z.
+    Accepts one 2x2 operator or a (..., 2, 2) stack of them.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {u.shape}")
+    if u.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 operators, got shape {u.shape}")
     if not np.all(np.isfinite(u.view(float))):
         raise ValueError("non-finite operator entry")
-    return _SIGMA_Z @ u.T @ _SIGMA_Z
+    return _SIGMA_Z @ np.swapaxes(u, -1, -2) @ _SIGMA_Z
 
 
 def is_unitary(u: np.ndarray, atol: float = ATOL_COMPOSED) -> bool:
+    """True when ``u`` (2x2, or a (..., 2, 2) stack) is unitary in every matrix."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not np.all(np.isfinite(u.view(float))):
+    if u.shape[-2:] != (2, 2) or not np.all(np.isfinite(u.view(float))):
         return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(2))) <= atol)
+    gram = np.swapaxes(u, -1, -2).conj() @ u
+    return bool(np.all(np.abs(gram - np.eye(2)) <= atol))
 
 
 def round_trip(u: np.ndarray) -> np.ndarray:
     """Forward pass ``u``, Faraday mirror, then the same path in reverse.
 
     For unitary ``u`` this collapses to det(u) * faraday_mirror(): the fiber
-    birefringence drops out of the round trip no matter what ``u`` is.
+    birefringence drops out of the round trip no matter what ``u`` is.  A
+    (..., 2, 2) stack gives the stack of round trips; every matrix in it must
+    be unitary.
     """
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u, atol=ATOL_COMPOSED):
-        raise PreconditionError("round_trip requires a unitary operator")
+        raise PreconditionError("round_trip requires unitary operators")
     return backward(u) @ _FARADAY @ u
 
 

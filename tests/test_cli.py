@@ -1,5 +1,8 @@
 """Command-line entry point: scenarios, config handling, reproducibility."""
 
+import io
+import sys
+
 import numpy as np
 import pytest
 
@@ -75,11 +78,37 @@ def test_histogram_reports_visibility(tmp_path, capsys):
     code = run(tmp_path, "histogram", "--histogram.acquisition_time_s=60")
     assert code == 0
     out = capsys.readouterr().out
-    assert "visibility" in out
+    assert "(background subtracted)" in out
     for arm in ("plus", "minus"):
         columns, meta = read_csv(tmp_path / "out" / f"histogram_{arm}.csv")
         assert int(meta["n_pairs"]) > 0
         assert sum(columns["counts"]) > 0
+        assert int(meta["diag.background_channels"]) > 0
+
+
+def test_histogram_without_background_channels_says_so(tmp_path, capsys):
+    # 512 channels end inside 3 signal supports: no channel can hold the floor
+    code = run(tmp_path, "histogram", "--histogram.n_channels=512",
+               "--detector.dark_rate_per_channel_hz=2")
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "background not subtracted" in out
+    assert "(background subtracted)" not in out
+    _, meta = read_csv(tmp_path / "out" / "histogram_plus.csv")
+    assert int(meta["diag.background_channels"]) == 0
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_still_writes_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = run(tmp_path, "drift-series", "--drift_series.duration_s=600")
+    assert code == 0
+    assert (tmp_path / "out" / "drift_series.csv").is_file()
+    assert capsys.readouterr().err == ""
 
 
 def test_same_seed_is_byte_identical(tmp_path, monkeypatch):

@@ -10,12 +10,17 @@ from scipy.stats import norm, poisson
 from biphoton import (
     PLUS_MINUS,
     PLUS_PLUS,
+    BellTarget,
     CorrelationResult,
     DegenerateInputError,
     DetectorParams,
     DriftProcess,
     EmptyWindowError,
+    FiberChannel,
     PostSelectionWindow,
+    analyzer_vector,
+    apply_to_slice,
+    channel_operator,
     drift_timeseries,
     estimate_visibility,
     g2_analytic,
@@ -219,6 +224,7 @@ def test_visibility_estimate_subtracts_background():
     assert hp.n_background > 0
     est = estimate_visibility(hp, hm, w)
     assert est.background_plus > 0
+    assert est.background_channels > 0
 
     clean_p = simulate_histogram(plus, IDEAL, seed=21, **kwargs)
     clean_m = simulate_histogram(minus, IDEAL, seed=22, **kwargs)
@@ -301,6 +307,24 @@ def test_drift_series_shapes_and_limits():
     np.testing.assert_allclose(both[:, 1], 1.0, atol=1e-12)
     # the one-way channel loses it as the compensation-free drift accumulates
     assert np.min(single[:, 1]) < 0.999
+
+
+def test_drift_series_matches_per_time_channel_operators():
+    drift = DriftProcess(correlation_time=360.0, seed=8)
+    times = np.arange(0.0, 1800.0, 45.0)
+    e_p = analyzer_vector(np.pi / 4.0).conj()
+    e_m = analyzer_vector(-np.pi / 4.0).conj()
+    for passes in ("single", "go_and_return"):
+        fiber = FiberChannel(k2=3.6e-26, geometric_length=240.0, passes=passes, drift=drift)
+        expected = []
+        for t in times:
+            s = apply_to_slice(BellTarget.psi_plus().amplitude, channel_operator(fiber, t))
+            g_plus = abs(e_p @ s @ e_p) ** 2
+            g_minus = abs(e_p @ s @ e_m) ** 2
+            expected.append((g_plus - g_minus) / (g_plus + g_minus))
+        series = drift_timeseries(passes, drift, times)
+        np.testing.assert_array_equal(series[:, 0], times)
+        np.testing.assert_allclose(series[:, 1], expected, rtol=0, atol=1e-12)
 
 
 def test_drift_series_is_deterministic():

@@ -129,11 +129,48 @@ def test_drift_is_deterministic():
 
 
 def test_drift_prefix_stable_across_horizons():
-    # extending the horizon must not rewrite the earlier trajectory
+    # extending the horizon must not rewrite the earlier trajectory, bit for
+    # bit, also at the edges of the 32-step prefix-product blocks
     p = DriftProcess(seed=3)
-    short = drift_walk(p, 20)
-    long = drift_walk(p, 200)
-    np.testing.assert_array_equal(short, long[:21])
+    long = drift_walk(p, 5000)
+    for k in (0, 20, 31, 32, 33, 257):
+        np.testing.assert_array_equal(drift_walk(p, k), long[: k + 1])
+
+
+def _sequential_walk(process, n_steps):
+    """Reference walk: the same draws multiplied one 2x2 step at a time."""
+    out = np.empty((n_steps + 1, 2, 2), dtype=complex)
+    out[0] = np.eye(2)
+    # substreams 0 (axes) and 1 (angles) of the process seed
+    rng_axis = np.random.default_rng(np.random.SeedSequence([process.seed, 0]))
+    rng_angle = np.random.default_rng(np.random.SeedSequence([process.seed, 1]))
+    axes = rng_axis.normal(size=(n_steps, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    sigma = process.step_angle_scale * np.sqrt(process.time_step / process.correlation_time)
+    angles = rng_angle.normal(size=n_steps) * sigma
+    c = np.cos(angles / 2.0)
+    s = np.sin(angles / 2.0)
+    u = np.eye(2, dtype=complex)
+    for j in range(n_steps):
+        nx, ny, nz = axes[j]
+        step = np.array(
+            [
+                [c[j] - 1j * s[j] * nz, (-1j * nx - ny) * s[j]],
+                [(-1j * nx + ny) * s[j], c[j] + 1j * s[j] * nz],
+            ]
+        )
+        u = step @ u
+        out[j + 1] = u
+    return out
+
+
+def test_drift_walk_matches_sequential_products():
+    p = DriftProcess(correlation_time=360.0, seed=17, time_step=0.36)
+    n = 100_000
+    walk = drift_walk(p, n)
+    assert np.max(np.abs(walk - _sequential_walk(p, n))) <= 1e-12
+    gram = np.swapaxes(walk, -1, -2).conj() @ walk
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
 
 
 def test_drift_samples_follow_walk():

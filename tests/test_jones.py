@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from biphoton import (
     PreconditionError,
@@ -9,6 +10,7 @@ from biphoton import (
     analyzer_vector,
     backward,
     faraday_mirror,
+    is_unitary,
     jones_vector,
     phase_aligned_distance,
     random_unitary,
@@ -16,6 +18,7 @@ from biphoton import (
     rotator,
     round_trip,
 )
+from biphoton.jones import ATOL_COMPOSED
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -164,6 +167,30 @@ def test_round_trip_retarder_is_pure_mirror():
 def test_round_trip_requires_unitary():
     with pytest.raises(PreconditionError):
         round_trip(np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex))
+
+
+def test_round_trip_of_stack_matches_each_matrix(rng):
+    stack = np.stack([random_unitary(rng) for _ in range(20)]).reshape(4, 5, 2, 2)
+    out = round_trip(stack)
+    assert out.shape == (4, 5, 2, 2)
+    for idx in np.ndindex(4, 5):
+        np.testing.assert_allclose(out[idx], round_trip(stack[idx]), rtol=0, atol=1e-15)
+
+
+def test_round_trip_of_stack_requires_every_matrix_unitary(rng):
+    stack = np.stack([random_unitary(rng) for _ in range(8)])
+    stack[5] = stack[5] * (1.0 + 1e-6)
+    assert not is_unitary(stack)
+    with pytest.raises(PreconditionError):
+        round_trip(stack)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16))
+def test_round_trip_of_any_unitary_stack_is_mirror_times_det(seed, n):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_unitary(rng) for _ in range(n)])
+    expected = np.linalg.det(stack)[:, None, None] * faraday_mirror()
+    assert np.max(np.abs(round_trip(stack) - expected)) <= ATOL_COMPOSED
 
 
 def test_phase_aligned_distance_quotients_global_phase(rng):
