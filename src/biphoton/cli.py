@@ -375,25 +375,19 @@ def scenario_plate_surface(cfg: ScenarioConfig) -> list[Path]:
     deltas = np.linspace(0.0, np.pi, n_d)
     alphas = np.linspace(0.0, np.pi / 2.0, n_a, endpoint=False)
     taus = np.linspace(-lobes * np.pi, lobes * np.pi, n_t) * scale
-    rows_d, rows_a, rows_t, rows_p, rows_m = [], [], [], [], []
-    for d in deltas:
-        for a in alphas:
-            plate = RetarderSpec(d, a)
-            rows_d.append(np.full(n_t, d))
-            rows_a.append(np.full(n_t, a))
-            rows_t.append(taus)
-            rows_p.append(g2_analytic(taus, scale, plate, "plus"))
-            rows_m.append(g2_analytic(taus, scale, plate, "minus"))
-    out = _out_dir(cfg)
-    path = out / "plate_surface.csv"
+    # Rows run delta outer, alpha, then tau inner; the angle columns keep the
+    # lattice values, the plate canonicalizes them (delta = pi acts as 0).
+    d, a, t = np.meshgrid(deltas, alphas, taus, indexing="ij")
+    plate = RetarderSpec(d, a)
+    path = _out_dir(cfg) / "plate_surface.csv"
     write_csv(
         path,
         {
-            "delta_rad": np.concatenate(rows_d),
-            "alpha_rad": np.concatenate(rows_a),
-            "tau_s": np.concatenate(rows_t),
-            "g2_plus": np.concatenate(rows_p),
-            "g2_minus": np.concatenate(rows_m),
+            "delta_rad": d.ravel(),
+            "alpha_rad": a.ravel(),
+            "tau_s": t.ravel(),
+            "g2_plus": g2_analytic(t, scale, plate, "plus").ravel(),
+            "g2_minus": g2_analytic(t, scale, plate, "minus").ravel(),
         },
         cfg.metadata("plate-surface"),
     )

@@ -102,9 +102,10 @@ def g2_analytic(
 ):
     """Closed-form dispersed coincidence distribution, unit peak at d = 0.
 
-    ``tau`` may be a scalar or array of detection-time differences; the t = 0
-    point is evaluated through the analytic limit (np.sinc), never by
-    substituting a small epsilon.
+    ``tau`` may be a scalar or array of detection-time differences, and the
+    plate angles may be arrays that broadcast against it; the t = 0 point is
+    evaluated through the analytic limit (np.sinc), never by substituting a
+    small epsilon.
     """
     if not np.isfinite(tau_f_scale) or tau_f_scale <= 0.0:
         raise ConfigurationError(f"tau_f_scale must be finite and > 0, got {tau_f_scale!r}")
@@ -123,7 +124,7 @@ def g2_analytic(
         out = sinc2 * (
             np.sin(4.0 * alpha) ** 2 * sin_d2**2 * np.cos(t) ** 2 + np.sin(t) ** 2
         )
-    if np.isscalar(tau):
+    if np.isscalar(tau) and np.ndim(out) == 0:
         return float(out)
     return out
 

@@ -3,15 +3,20 @@
 Every file this package writes is self-describing: the header carries the
 fully resolved parameters that produced the data, one ``# key = value`` line
 each.  Floats are written with repr so identical runs produce identical
-bytes.
+bytes.  Rows are written in fixed blocks, each formatted column by column
+(float cells once per distinct bit pattern in the block), so neither the
+cell texts nor the rows of a whole file are ever held at once; the bytes do
+not depend on the block size.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+_BLOCK_ROWS = 2048
 
 
 def format_value(value) -> str:
@@ -22,6 +27,18 @@ def format_value(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def _column_text(a: np.ndarray) -> Iterable[str]:
+    """format_value of every cell of a column, computed column-wise."""
+    if a.ndim == 1 and a.dtype.kind == "f":
+        # Keyed on bits, not values, so -0.0 stays apart from 0.0.
+        unique, inverse = np.unique(a.astype(np.float64).view(np.uint64), return_inverse=True)
+        text = np.array([repr(v) for v in unique.view(np.float64).tolist()], dtype=object)
+        return text[inverse].tolist()
+    # Python bools and ints format as their numpy scalars do, only faster.
+    # Lazily, so that no text per cell is held for the whole block.
+    return map(format_value, a.tolist() if a.ndim == 1 and a.dtype.kind in "biu" else a)
 
 
 def write_csv(
@@ -36,10 +53,11 @@ def write_csv(
         raise ValueError("all columns must have the same length")
     lines = [f"# {key} = {format_value(value)}" for key, value in metadata.items()]
     lines.append(",".join(names))
-    for i in range(n_rows):
-        lines.append(",".join(format_value(a[i]) for a in arrays))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            texts = [_column_text(a[start:start + _BLOCK_ROWS]) for a in arrays]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def read_csv(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict[str, str]]:

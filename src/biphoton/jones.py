@@ -26,13 +26,13 @@ from .errors import PreconditionError
 ATOL_CONSTRUCT = 1e-12
 ATOL_COMPOSED = 1e-10
 
-_SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+_SANDWICH_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _FARADAY = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
 
 
-def _check_finite(*values: float) -> None:
+def _check_finite(*values) -> None:
     for v in values:
-        if not math.isfinite(v):
+        if not np.all(np.isfinite(v)):
             raise ValueError(f"non-finite angle {v!r}")
 
 
@@ -67,11 +67,13 @@ class RetarderSpec:
     """Retardance and fast-axis angle, canonicalized to [0, pi) x [0, pi).
 
     Shifting either angle by pi changes the Jones matrix by at most a global
-    sign, so the canonical ranges lose nothing physical.
+    sign, so the canonical ranges lose nothing physical.  The angles may also
+    be broadcastable numpy arrays describing a lattice of plates; ``matrix``
+    then does not apply.
     """
 
-    delta: float
-    alpha: float
+    delta: float | np.ndarray
+    alpha: float | np.ndarray
 
     def __post_init__(self) -> None:
         _check_finite(self.delta, self.alpha)
@@ -98,15 +100,16 @@ def backward(u: np.ndarray) -> np.ndarray:
     """Operator for traversing the element described by ``u`` in reverse.
 
     Reciprocal propagation reverses the element order and flips the
-    handedness of the transverse frame, giving sigma_z @ u.T @ sigma_z.
-    Accepts one 2x2 operator or a (..., 2, 2) stack of them.
+    handedness of the transverse frame, giving sigma_z @ u.T @ sigma_z: the
+    transpose with its off-diagonal signs flipped.  Accepts one 2x2 operator
+    or a (..., 2, 2) stack of them.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape[-2:] != (2, 2):
         raise ValueError(f"expected 2x2 operators, got shape {u.shape}")
     if not np.all(np.isfinite(u.view(float))):
         raise ValueError("non-finite operator entry")
-    return _SIGMA_Z @ np.swapaxes(u, -1, -2) @ _SIGMA_Z
+    return np.swapaxes(u, -1, -2) * _SANDWICH_SIGNS
 
 
 def is_unitary(u: np.ndarray, atol: float = ATOL_COMPOSED) -> bool:

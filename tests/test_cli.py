@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from biphoton import cli, g2_analytic
+from biphoton import RetarderSpec, cli, g2_analytic
 from biphoton.csvio import read_csv
 
 TAU_F = 6.912e-10
@@ -48,6 +48,41 @@ def test_plate_surface_row_count(tmp_path):
     assert len(columns["g2_plus"]) == 4 * 3 * 11
     g = np.asarray(columns["g2_plus"])
     assert np.all(g >= 0.0) and np.all(g <= 2.0 + 1e-12)
+
+
+def test_plate_surface_matches_per_plate_loop(tmp_path):
+    n_d, n_a, n_t = 5, 4, 7
+    code = run(
+        tmp_path, "plate-surface",
+        f"--surface.n_delta={n_d}", f"--surface.n_alpha={n_a}", f"--surface.n_tau={n_t}",
+    )
+    assert code == 0
+    columns, meta = read_csv(tmp_path / "out" / "plate_surface.csv")
+    scale = float(meta["derived.tau_f_s"])
+    lobes = int(meta["config.surface.tau_half_range_lobes"])
+    # The original scenario: one plate at a time, delta outer, alpha, tau inner.
+    deltas = np.linspace(0.0, np.pi, n_d)
+    alphas = np.linspace(0.0, np.pi / 2.0, n_a, endpoint=False)
+    taus = np.linspace(-lobes * np.pi, lobes * np.pi, n_t) * scale
+    expected = {"delta_rad": [], "alpha_rad": [], "tau_s": [], "g2_plus": [], "g2_minus": []}
+    for d in deltas:
+        for a in alphas:
+            plate = RetarderSpec(d, a)
+            expected["delta_rad"].append(np.full(n_t, d))
+            expected["alpha_rad"].append(np.full(n_t, a))
+            expected["tau_s"].append(taus)
+            expected["g2_plus"].append(g2_analytic(taus, scale, plate, "plus"))
+            expected["g2_minus"].append(g2_analytic(taus, scale, plate, "minus"))
+    for name in ("delta_rad", "alpha_rad", "tau_s"):
+        np.testing.assert_array_equal(columns[name], np.concatenate(expected[name]))
+    for name in ("g2_plus", "g2_minus"):
+        np.testing.assert_allclose(columns[name], np.concatenate(expected[name]),
+                                   rtol=0.0, atol=1e-12)
+    # delta = pi is written as pi but evaluated as the canonical delta = 0.
+    block = n_a * n_t
+    assert np.all(columns["delta_rad"][-block:] == np.pi)
+    for name in ("g2_plus", "g2_minus"):
+        np.testing.assert_array_equal(columns[name][-block:], columns[name][:block])
 
 
 def test_bell_postselect_reports_fidelities(tmp_path, capsys):

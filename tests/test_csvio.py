@@ -1,0 +1,93 @@
+"""CSV writer: column-wise formatting against the per-cell oracle, round trips."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from biphoton import csvio
+from biphoton.csvio import format_value, read_csv, write_csv
+
+BLOCK = csvio._BLOCK_ROWS
+METADATA = {"run.seed": 7, "fiber.k2_s2_per_m": 3.6e-26, "flag": True, "note": "plain text"}
+
+
+def write_csv_per_cell(path, columns, metadata):
+    """The original writer: every cell through format_value, one row at a time."""
+    names = list(columns)
+    arrays = [np.asarray(columns[name]) for name in names]
+    lines = [f"# {key} = {format_value(value)}" for key, value in metadata.items()]
+    lines.append(",".join(names))
+    for i in range(len(arrays[0])):
+        lines.append(",".join(format_value(a[i]) for a in arrays))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def mixed_columns(n_rows, seed=5):
+    rng = np.random.default_rng(seed)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.1, 1.0 / 3.0])
+    # Specials spread over a column with many repeats and some distinct values.
+    f64 = np.where(rng.random(n_rows) < 0.5,
+                   specials[rng.integers(0, len(specials), n_rows)],
+                   rng.normal(scale=1e-9, size=n_rows))
+    f32 = rng.normal(size=n_rows).astype(np.float32)
+    f32[::7] = -0.0
+    i64 = rng.integers(-(2**62), 2**62, n_rows, dtype=np.int64)
+    u64 = rng.integers(0, 2**63, n_rows, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    return {
+        "f64": f64,
+        "f32": f32,
+        "i64": i64,
+        "u64": u64,
+        "flag": rng.random(n_rows) < 0.5,
+        "label": np.array(["psi_plus", "psi_minus", "x"])[rng.integers(0, 3, n_rows)],
+        "repeat": np.repeat(np.linspace(-1.0, 1.0, 4), -(-n_rows // 4))[:n_rows],
+    }
+
+
+@pytest.mark.parametrize("n_rows", sorted({0, 1, 2, 3, 4, 9, BLOCK - 1, BLOCK, BLOCK + 1,
+                                            2 * BLOCK + 3}))
+def test_write_csv_matches_per_cell_writer(tmp_path, monkeypatch, n_rows):
+    columns = mixed_columns(n_rows)
+    write_csv_per_cell(tmp_path / "oracle.csv", columns, METADATA)
+    expected = (tmp_path / "oracle.csv").read_bytes()
+    write_csv(tmp_path / "blocked.csv", columns, METADATA)
+    assert (tmp_path / "blocked.csv").read_bytes() == expected
+    monkeypatch.setattr(csvio, "_BLOCK_ROWS", 3)
+    write_csv(tmp_path / "small_blocks.csv", columns, METADATA)
+    assert (tmp_path / "small_blocks.csv").read_bytes() == expected
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "r.csv", {"a": [1.0, 2.0], "b": [1.0]}, {})
+
+
+metadata_keys = st.from_regex(r"[a-z][a-z0-9_.]{0,15}", fullmatch=True)
+metadata_values = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.from_regex(r"[A-Za-z0-9_.+-]{1,12}", fullmatch=True),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(0, 40),
+    data=st.data(),
+    metadata=st.dictionaries(metadata_keys, metadata_values, max_size=6),
+)
+def test_write_read_round_trips_finite_floats(tmp_path_factory, n_rows, data, metadata):
+    finite = hnp.arrays(np.float64, n_rows,
+                        elements=st.floats(allow_nan=False, allow_infinity=False))
+    columns = {"x": data.draw(finite), "y": data.draw(finite)}
+    path = tmp_path_factory.mktemp("rt") / "rt.csv"
+    write_csv(path, columns, metadata)
+    got, meta = read_csv(path)
+    for name, values in columns.items():
+        # Bit patterns, so -0.0 must come back as -0.0.
+        assert np.array_equal(got[name].view(np.uint64), values.view(np.uint64))
+    assert meta == {key: format_value(value) for key, value in metadata.items()}

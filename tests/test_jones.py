@@ -141,6 +141,10 @@ def test_backward_definition(rng):
     for _ in range(20):
         u = random_unitary(rng)
         np.testing.assert_allclose(backward(u), SIGMA_Z @ u.T @ SIGMA_Z, atol=1e-15)
+    stack = np.array([random_unitary(rng) for _ in range(7)])
+    np.testing.assert_allclose(
+        backward(stack), SIGMA_Z @ np.swapaxes(stack, -1, -2) @ SIGMA_Z, atol=1e-15
+    )
 
 
 def test_backward_rejects_bad_input():
