@@ -64,7 +64,6 @@ from .state import (
     CrystalParams,
     FrequencyGrid,
     apply_local,
-    apply_to_slice,
     pdc_state,
     polarization_overlap,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "analyzer_vector",
     "apply_gvd",
     "apply_local",
-    "apply_to_slice",
     "backward",
     "channel_operator",
     "drift_operators",

@@ -290,7 +290,7 @@ def _load_config(
             efficiency_2=values["detector.efficiency_2"],
             dark_background_rate=values["detector.dark_rate_per_channel_hz"],
         )
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, ValueError, ArithmeticError) as exc:
         raise CliConfigError(str(exc))
     return ScenarioConfig(
         crystal=crystal,
@@ -402,30 +402,24 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
         "psi_plus": PostSelectionWindow(0.0, half_width),
         "psi_minus": PostSelectionWindow(np.pi * scale / 2.0, half_width),
     }
-    names, centers, fid_p, fid_m, n_samp = [], [], [], [], []
+    results = {}
     for name, window in windows.items():
-        res = postselect(state, cfg.fiber, window)
-        names.append(name)
-        centers.append(window.center)
-        fid_p.append(res.psi_plus_fidelity)
-        fid_m.append(res.psi_minus_fidelity)
-        n_samp.append(res.n_samples)
+        results[name] = res = postselect(state, cfg.fiber, window)
         _say(
             f"{name}: window center {window.center:.6g} s, "
             f"psi+ fidelity {res.psi_plus_fidelity:.6f}, "
             f"psi- fidelity {res.psi_minus_fidelity:.6f}"
         )
-    out = _out_dir(cfg)
-    path = out / "bell_postselect.csv"
+    path = _out_dir(cfg) / "bell_postselect.csv"
     write_csv(
         path,
         {
-            "target": names,
-            "window_center_s": centers,
-            "window_half_width_s": [half_width] * len(names),
-            "psi_plus_fidelity": fid_p,
-            "psi_minus_fidelity": fid_m,
-            "n_band_samples": n_samp,
+            "target": list(results),
+            "window_center_s": [window.center for window in windows.values()],
+            "window_half_width_s": [half_width] * len(windows),
+            "psi_plus_fidelity": [res.psi_plus_fidelity for res in results.values()],
+            "psi_minus_fidelity": [res.psi_minus_fidelity for res in results.values()],
+            "n_band_samples": [res.n_samples for res in results.values()],
         },
         cfg.metadata("bell-postselect"),
     )
@@ -442,8 +436,7 @@ def scenario_drift_series(cfg: ScenarioConfig) -> list[Path]:
         f"single pass: visibility range {np.ptp(single[:, 1]):.3f}; "
         f"go-and-return: std {np.std(both[:, 1]):.3e}"
     )
-    out = _out_dir(cfg)
-    path = out / "drift_series.csv"
+    path = _out_dir(cfg) / "drift_series.csv"
     write_csv(
         path,
         {
@@ -468,8 +461,10 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
         n_channels=int(cfg["histogram.n_channels"]),
         transmittance=pair_transmittance,
     )
-    hist_plus = simulate_histogram(plus, seed=cfg.seed, **common)
-    hist_minus = simulate_histogram(minus, seed=cfg.seed + 1, **common)
+    # Arm seeds from SeedSequence([seed, arm]): no arm replays another seed's arm.
+    seeds = [np.random.SeedSequence([cfg.seed, arm]).generate_state(1, np.uint64) for arm in (0, 1)]
+    hist_plus = simulate_histogram(plus, seed=int(seeds[0][0]), **common)
+    hist_minus = simulate_histogram(minus, seed=int(seeds[1][0]), **common)
     window = PostSelectionWindow(0.0, float(cfg["histogram.visibility_half_width_s"]))
     est = estimate_visibility(hist_plus, hist_minus, window)
     if est.background_channels:

@@ -1,19 +1,18 @@
-"""Monte Carlo of a start-stop coincidence measurement.
+"""Start-stop coincidence measurement as independent Poisson channel counts.
 
-Events are pairs whose detection-time difference is drawn from a g2 curve,
-smeared by the Gaussian time response of both detectors and binned into
-multichannel-analyzer channels; a flat accidental background is added per
-channel.  Negative differences land below the zero-delay channel, exactly as
-a time-to-amplitude converter with a fixed start detector records them.
-
-Reproducibility: the master seed is split into independent substreams with
-numpy SeedSequence spawn keys [seed, 0] (pair total), [seed, 1, batch]
-(event batches of fixed size), and [seed, 2] (background), so the result is
-byte-identical for a given seed no matter how the batches are executed.
+A pair's detection-time difference follows a g2 curve, is smeared by the
+Gaussian time response of both detectors and is binned into multichannel-
+analyzer channels; a flat accidental background is added per channel.
+Negative differences land below the zero-delay channel, exactly as a
+time-to-amplitude converter with a fixed start detector records them.
+Nothing depends on event order (no converter dead time, one pair per start),
+so the histogram is an independent Poisson count per channel: one draw per
+bin from the seed's histogram substream, whatever the acquisition time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +20,15 @@ import numpy as np
 from .correlation import CorrelationResult, PostSelectionWindow
 from .csvio import write_csv
 from .errors import DegenerateInputError, EmptyWindowError
-from .fiber import DriftProcess, drift_operators
+from .fiber import _STREAM_HISTOGRAM, DriftProcess, drift_operators
 from .jones import analyzer_vector
 from .state import BellTarget
 
-_BATCH_SIZE = 1 << 18
+# Terms of the channel law evaluated at once: caps memory, never changes a result.
+_CHUNK = 1 << 16
+# Beyond this many sigmas the normal CDF is 0 or 1 in double precision.
+_REACH = 9.0
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,41 @@ def _cell_width(tau_grid: np.ndarray) -> float:
     return float(np.mean(steps))
 
 
+def _psi(y: np.ndarray, s: float) -> np.ndarray:
+    """Integral of the N(0, s^2) CDF up to y: y Phi(y/s) + s phi(y/s), max(y, 0) at s = 0."""
+    out = np.maximum(y, 0.0)
+    near = np.abs(y) < _REACH * s
+    z = y[near] / s
+    cdf = 0.5 + 0.5 * _erf(z / math.sqrt(2.0)).astype(float)
+    out[near] = y[near] * cdf + s * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return out
+
+
+def _smeared_cdf(x, tau: np.ndarray, weight: np.ndarray, cell: float, s: float):
+    """P(delay <= x) for cell-box densities at ``tau`` smeared by N(0, s^2).
+
+    Cell k spreads weight[k] over [b_k, b_k+1] = tau[k] -+ cell/2 and adds
+    weight[k] (Psi(x - b_k) - Psi(x - b_k+1)) / cell: exactly weight[k]
+    (nothing) once the whole cell lies _REACH s below (above) x, so only a
+    band of cells around each x is evaluated, about _CHUNK terms at once.
+    """
+    reach = _REACH * s + cell / 2.0
+    band = min(int(np.ceil(2.0 * reach / cell)) + 2, len(tau))
+    # Cells before first[i] lie wholly more than _REACH s below x[i].
+    first = np.clip(np.floor((x - reach - tau[0]) / cell) + 1.0, 0, len(tau)).astype(np.int64)
+    full = np.concatenate([[0.0], np.cumsum(weight)])
+    cdf = full[first]
+    # Past the last cell: no weight, and bounds at a delay no x reaches.
+    bounds = np.concatenate([tau - cell / 2.0, [tau[-1] + cell / 2.0], np.full(band, np.inf)])
+    weight = np.concatenate([weight, np.zeros(band)])
+    live = np.flatnonzero((first < len(tau)) & (x > bounds[0] - _REACH * s))
+    for i in np.array_split(live, max(1, len(live) * band // _CHUNK)):
+        k = first[i, None] + np.arange(band + 1)
+        psi = _psi(x[i, None] - bounds[k], s)
+        cdf[i] += np.sum(weight[k[:, :-1]] * (psi[:, :-1] - psi[:, 1:]), axis=1) / cell
+    return cdf / full[-1]
+
+
 def simulate_histogram(
     g2: CorrelationResult,
     detectors: DetectorParams,
@@ -136,11 +174,12 @@ def simulate_histogram(
 ) -> Histogram:
     """Simulate one start-stop acquisition against a g2 curve.
 
-    The curve is treated as a piecewise-constant density over cells centered
-    on its grid points.  The pair total is Poisson with mean
+    The curve is a piecewise-constant density over cells centered on its grid
+    points, and the delay adds N(0, 2 jitter_sigma^2).  The result is an
+    independent Poisson count per channel (and for underflow and overflow):
+    the bin's exact share of the density times the mean pair total
     pair_rate * acquisition_time * transmittance * eff1 * eff2 / 2 (the
-    factor 2 is the beam-splitter post-selection); every drawn pair lands in
-    a channel, an underflow bin or an overflow bin, so counts are conserved.
+    factor 2 is the beam-splitter post-selection); ``n_pairs`` is their sum.
     """
     for name, v in (("pair_rate", pair_rate), ("acquisition_time", acquisition_time)):
         if not np.isfinite(v) or v < 0.0:
@@ -149,10 +188,8 @@ def simulate_histogram(
         raise ValueError("channel_width must be finite and > 0")
     if not np.isfinite(transmittance) or not (0.0 <= transmittance <= 1.0):
         raise ValueError("transmittance must be in [0, 1]")
-    total_weight = float(np.sum(g2.g2))
-    if total_weight <= 0.0:
+    if float(np.sum(g2.g2)) <= 0.0:
         raise DegenerateInputError("g2 curve is identically zero; no density to sample")
-    density = g2.g2 / total_weight
     cell = _cell_width(g2.tau_grid)
     support = float(np.max(np.abs(g2.tau_grid))) + cell / 2.0
     if n_channels is None:
@@ -161,49 +198,27 @@ def simulate_histogram(
     if zero_offset_channel is None:
         zero_offset_channel = n_channels // 2
 
-    mean_pairs = (
-        pair_rate
-        * acquisition_time
-        * transmittance
-        * detectors.efficiency_1
-        * detectors.efficiency_2
-        / 2.0
-    )
-    rng_total = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    n_pairs = int(rng_total.poisson(mean_pairs))
-
-    counts = np.zeros(n_channels, dtype=np.int64)
-    underflow = 0
-    overflow = 0
-    for batch, start in enumerate(range(0, n_pairs, _BATCH_SIZE)):
-        size = min(_BATCH_SIZE, n_pairs - start)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 1, batch]))
-        idx = rng.choice(len(density), size=size, p=density)
-        tau = g2.tau_grid[idx] + rng.uniform(-cell / 2.0, cell / 2.0, size=size)
-        tau = tau + rng.normal(0.0, detectors.jitter_sigma, size=size)
-        tau = tau - rng.normal(0.0, detectors.jitter_sigma, size=size)
-        ch = np.floor(tau / channel_width + 0.5).astype(np.int64) + zero_offset_channel
-        underflow += int(np.count_nonzero(ch < 0))
-        overflow += int(np.count_nonzero(ch >= n_channels))
-        keep = (ch >= 0) & (ch < n_channels)
-        counts += np.bincount(ch[keep], minlength=n_channels)
-
-    rng_bg = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    background = rng_bg.poisson(
+    mean_pairs = (pair_rate * acquisition_time * transmittance
+                  * detectors.efficiency_1 * detectors.efficiency_2 / 2.0)
+    # Channel j holds delays in [(j - zero - 1/2) w, (j - zero + 1/2) w).
+    edges = (np.arange(n_channels + 1) - zero_offset_channel - 0.5) * channel_width
+    cdf = _smeared_cdf(edges, g2.tau_grid, g2.g2, cell, math.sqrt(2.0) * detectors.jitter_sigma)
+    share = np.maximum(np.diff(cdf, prepend=0.0, append=1.0), 0.0)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_HISTOGRAM]))
+    pairs = rng.poisson(mean_pairs * share).astype(np.int64)
+    background = rng.poisson(
         detectors.dark_background_rate * acquisition_time, size=n_channels
     ).astype(np.int64)
-    counts += background
-
     return Histogram(
         channel_width=channel_width,
         n_channels=n_channels,
-        counts=counts,
+        counts=pairs[1:-1] + background,
         acquisition_time=acquisition_time,
         seed=seed,
         zero_offset_channel=zero_offset_channel,
-        underflow=underflow,
-        overflow=overflow,
-        n_pairs=n_pairs,
+        underflow=int(pairs[0]),
+        overflow=int(pairs[-1]),
+        n_pairs=int(np.sum(pairs)),
         n_background=int(np.sum(background)),
         signal_support=support,
         detectors=detectors,
@@ -264,17 +279,10 @@ def estimate_visibility(
     s_m, var_m, bg_m, _ = _window_sums(minus, window, support)
     total = s_p + s_m
     if total <= 0.0:
-        return VisibilityEstimate(
-            value=float("nan"),
-            sigma=float("nan"),
-            s_plus=s_p,
-            s_minus=s_m,
-            background_plus=bg_p,
-            background_minus=bg_m,
-            background_channels=n_bg,
-        )
-    value = (s_p - s_m) / total
-    sigma = 2.0 / total**2 * np.sqrt(s_m**2 * var_p + s_p**2 * var_m)
+        value = sigma = float("nan")
+    else:
+        value = (s_p - s_m) / total
+        sigma = 2.0 / total**2 * np.sqrt(s_m**2 * var_p + s_p**2 * var_m)
     return VisibilityEstimate(
         value=float(value),
         sigma=float(sigma),

@@ -25,7 +25,7 @@ from .csvio import write_csv
 from .errors import ConfigurationError, DegenerateInputError, EmptyWindowError
 from .fiber import FiberChannel, check_chirp_sampling
 from .jones import RetarderSpec, analyzer_vector
-from .state import BellTarget, BiphotonState, apply_to_slice, polarization_overlap
+from .state import BellTarget, BiphotonState, _both_photons, polarization_overlap
 
 Normalization = Literal["raw", "peak_unity"]
 
@@ -253,10 +253,7 @@ def postselect(
         )
     avg = np.mean(state.amp[:, :, mask], axis=2)
     if basis is not None:
-        basis = np.asarray(basis, dtype=complex)
-        if basis.shape != (2, 2) or not np.all(np.isfinite(basis.view(float))):
-            raise ValueError("basis must be a finite 2x2 matrix")
-        avg = apply_to_slice(avg, basis)
+        avg = _both_photons(basis, avg)
     norm = np.linalg.norm(avg)
     if norm < 1e-300:
         raise DegenerateInputError("window average cancels coherently")

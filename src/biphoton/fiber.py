@@ -24,9 +24,11 @@ from .errors import ConfigurationError
 from .jones import round_trip
 from .state import BiphotonState, CrystalParams
 
-# Independent substreams of a DriftProcess seed.
+# Independent substreams of a seed, SeedSequence([seed, id]): the drift walk's
+# axes and angles, and a coincidence histogram's counts.
 _STREAM_AXIS = 0
 _STREAM_ANGLE = 1
+_STREAM_HISTOGRAM = 2
 # Prefix-product block length; fixed so that results never depend on the horizon.
 _BLOCK = 32
 

@@ -144,18 +144,17 @@ def pdc_state(
     return BiphotonState(grid=grid, crystal=crystal, amp=amp)
 
 
-def apply_to_slice(slice2x2: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply the same single-photon operator u to both indices of a 2x2 slice."""
-    return np.einsum("ac,bd,cd->ab", u, u, slice2x2)
+def _both_photons(u: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Apply the single-photon operator u to both indices of amp[s1, s2, ...]."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2) or not np.all(np.isfinite(u.view(float))):
+        raise ValueError("operator must be a finite 2x2 matrix")
+    return np.einsum("ac,bd,cd...->ab...", u, u, amp)
 
 
 def apply_local(state: BiphotonState, u: np.ndarray) -> BiphotonState:
     """Send both photons through the same polarization element ``u``."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not np.all(np.isfinite(u.view(float))):
-        raise ValueError("operator must be a finite 2x2 matrix")
-    amp = np.einsum("ac,bd,cdk->abk", u, u, state.amp)
-    return BiphotonState(grid=state.grid, crystal=state.crystal, amp=amp)
+    return BiphotonState(grid=state.grid, crystal=state.crystal, amp=_both_photons(u, state.amp))
 
 
 @dataclass(frozen=True)

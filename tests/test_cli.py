@@ -2,9 +2,12 @@
 
 import io
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import RetarderSpec, cli, g2_analytic
 from biphoton.csvio import read_csv
@@ -171,6 +174,30 @@ def test_seed_changes_counts(tmp_path):
     assert not np.array_equal(a["counts"], b["counts"])
 
 
+def test_arms_of_neighbouring_seeds_do_not_share_streams(tmp_path):
+    # the background-only tail channels of seed 8's plus arm and seed 7's
+    # minus arm are independent draws, not one stream seen twice
+    tails = {}
+    for seed, arm in ((8, "plus"), (7, "minus")):
+        assert run(tmp_path / str(seed), "histogram", f"--sim.seed={seed}") == 0
+        columns, meta = read_csv(tmp_path / str(seed) / "out" / f"histogram_{arm}.csv")
+        tail = np.abs(columns["tau_center_s"]) > 3.0 * float(meta["signal_support_s"])
+        assert np.count_nonzero(tail) > 1000
+        tails[arm] = np.asarray(columns["counts"])[tail]
+    assert not np.array_equal(tails["plus"], tails["minus"])
+
+
+def test_histogram_work_does_not_grow_with_acquisition_time(tmp_path):
+    start = time.perf_counter()
+    assert run(tmp_path, "histogram", "--histogram.acquisition_time_s=1e12") == 0
+    assert time.perf_counter() - start < 10.0
+    _, meta = read_csv(tmp_path / "out" / "histogram_plus.csv")
+    mean = (float(meta["pair_rate_hz"]) * float(meta["acquisition_time_s"])
+            * float(meta["transmittance"]) * float(meta["efficiency_1"])
+            * float(meta["efficiency_2"]) / 2.0)
+    assert abs(int(meta["n_pairs"]) - mean) < 6.0 * np.sqrt(mean)
+
+
 def test_environment_seed_applies(tmp_path, monkeypatch):
     monkeypatch.setenv("BIPHOTON_SEED", "777")
     assert run(tmp_path, "histogram", "--histogram.acquisition_time_s=30") == 0
@@ -269,3 +296,28 @@ def test_user_config_file_overrides_defaults(tmp_path):
     _, meta = read_csv(tmp_path / "out" / "histogram_plus.csv")
     assert int(meta["config.sim.seed"]) == 4
     assert float(meta["config.histogram.acquisition_time_s"]) == 30.0
+
+
+def test_integer_too_large_for_a_float_is_config_error(tmp_path, capsys):
+    assert run(tmp_path, "histogram", "--grid.half_range_lobes=1" + "0" * 400) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+_SCHEMA_KEYS = [(sec, key) for sec, keys in cli._SCHEMA.items() for key in keys]
+_ANY_VALUE = st.one_of(
+    st.text(),
+    st.integers(min_value=-(10**500), max_value=10**500).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["1" + "0" * 400, "1e400", "5e-324", "-0", "nan", "single"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(_SCHEMA_KEYS), value=_ANY_VALUE)
+def test_any_override_loads_or_is_config_error(key, value):
+    try:
+        cfg = cli._load_config(None, {key: cli._Entry(value, "command line")})
+    except cli.CliConfigError:
+        return
+    assert isinstance(cfg, cli.ScenarioConfig)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter1d
-from scipy.stats import norm, poisson
+from scipy.stats import chi2, norm, poisson
 
 from biphoton import (
     PLUS_MINUS,
@@ -19,13 +19,14 @@ from biphoton import (
     FiberChannel,
     PostSelectionWindow,
     analyzer_vector,
-    apply_to_slice,
     channel_operator,
     drift_timeseries,
     estimate_visibility,
     g2_analytic,
     simulate_histogram,
 )
+from biphoton import coincidence
+from biphoton.coincidence import _smeared_cdf
 from biphoton.csvio import read_csv
 
 TAU_F = 6.912e-10
@@ -39,6 +40,93 @@ def analytic_curve(which, n=2048, span=3.0):
     return CorrelationResult(
         tau_grid=tau, g2=g, analyzer=analyzer, normalization="raw"
     )
+
+
+def event_histogram(curve, detectors, mean_pairs, channel_width, n_channels, zero, seed):
+    """Oracle: per-pair sampling of the start-stop measurement.
+
+    Draws a Poisson pair total, then every pair's cell, its uniform offset in
+    the cell and both detectors' jitter, and bins each delay; returns
+    [underflow, channel counts with background..., overflow].
+    """
+    rng = np.random.default_rng(seed)
+    tau = curve.tau_grid
+    cell = tau[1] - tau[0]
+    n_pairs = rng.poisson(mean_pairs)
+    idx = rng.choice(len(tau), size=n_pairs, p=curve.g2 / np.sum(curve.g2))
+    delay = tau[idx] + rng.uniform(-cell / 2.0, cell / 2.0, size=n_pairs)
+    delay += rng.normal(0.0, detectors.jitter_sigma, size=n_pairs)
+    delay -= rng.normal(0.0, detectors.jitter_sigma, size=n_pairs)
+    ch = np.floor(delay / channel_width + 0.5).astype(np.int64) + zero
+    bins = np.bincount(np.clip(ch + 1, 0, n_channels + 1), minlength=n_channels + 2)
+    bins[1:-1] += rng.poisson(detectors.dark_background_rate, size=n_channels)
+    return bins
+
+
+@pytest.mark.parametrize(
+    "sigma, dark_rate, n_channels",
+    [
+        (0.0, 0.0, None),
+        (TAU_F / 20, 0.0, None),
+        (TAU_F / 2, 0.0, None),
+        (0.0, 30.0, 31),
+        (TAU_F / 3, 30.0, 41),
+    ],
+)
+def test_channel_law_matches_event_sampler(sigma, dark_rate, n_channels):
+    # Two independent samples of the same law: given a + b, each bin's a is
+    # Binomial(a + b, 1/2), so sum (a - b)^2 / (a + b) is chi-square with one
+    # degree of freedom per occupied bin.
+    curve = analytic_curve("plus")
+    detectors = DetectorParams(jitter_sigma=sigma, dark_background_rate=dark_rate)
+    h = simulate_histogram(
+        curve, detectors, pair_rate=1e6, acquisition_time=1.0,
+        channel_width=TAU_F / 20, seed=2024, n_channels=n_channels,
+    )
+    law = np.concatenate([[h.underflow], h.counts, [h.overflow]])
+    events = event_histogram(
+        curve, detectors, 5e5, h.channel_width, h.n_channels, h.zero_offset_channel, 4202
+    )
+    if n_channels is not None:
+        assert min(law[0], law[-1], events[0], events[-1]) > 1000
+    occupied = (law + events) > 0
+    stat = np.sum((law - events)[occupied] ** 2 / (law + events)[occupied])
+    dof = int(np.count_nonzero(occupied))
+    assert chi2.sf(stat, dof) > 1e-3, f"chi2 {stat:.1f} on {dof} bins"
+
+
+@pytest.mark.parametrize("s", [0.0, TAU_F / 20, TAU_F / 2, 4 * TAU_F])
+def test_smeared_cdf_matches_quadrature(s):
+    # independent route: the piecewise-linear CDF of the cell boxes, averaged
+    # over the Gaussian by a dense Riemann sum (exact interpolation at s = 0)
+    curve = analytic_curve("plus")
+    tau = curve.tau_grid
+    cell = tau[1] - tau[0]
+    bounds = np.append(tau - cell / 2, tau[-1] + cell / 2)
+    cdf = np.append(0.0, np.cumsum(curve.g2)) / np.sum(curve.g2)
+    x = np.linspace(-10 * TAU_F, 10 * TAU_F, 41)
+    if s == 0.0:
+        expected = np.interp(x, bounds, cdf)
+    else:
+        t = np.linspace(-12 * s, 12 * s, 200001)
+        w = norm.pdf(t, scale=s)
+        w /= np.sum(w)
+        expected = np.array([np.sum(np.interp(xi - t, bounds, cdf) * w) for xi in x])
+    got = _smeared_cdf(x, tau, curve.g2, cell, s)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=3e-12)
+    if 3 * TAU_F + 9 * s < 10 * TAU_F:
+        # every cell is out of reach of the end points: exactly 0 and 1
+        assert got[0] == 0.0 and got[-1] == 1.0
+
+
+def test_smeared_cdf_does_not_depend_on_chunk_size(monkeypatch):
+    curve = analytic_curve("plus")
+    tau = curve.tau_grid
+    x = np.linspace(-5 * TAU_F, 5 * TAU_F, 301)
+    a = _smeared_cdf(x, tau, curve.g2, tau[1] - tau[0], TAU_F / 20)
+    monkeypatch.setattr(coincidence, "_CHUNK", 7)
+    b = _smeared_cdf(x, tau, curve.g2, tau[1] - tau[0], TAU_F / 20)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_histogram_is_deterministic():
@@ -318,7 +406,8 @@ def test_drift_series_matches_per_time_channel_operators():
         fiber = FiberChannel(k2=3.6e-26, geometric_length=240.0, passes=passes, drift=drift)
         expected = []
         for t in times:
-            s = apply_to_slice(BellTarget.psi_plus().amplitude, channel_operator(fiber, t))
+            u = channel_operator(fiber, t)
+            s = u @ BellTarget.psi_plus().amplitude @ u.T
             g_plus = abs(e_p @ s @ e_p) ** 2
             g_minus = abs(e_p @ s @ e_m) ** 2
             expected.append((g_plus - g_minus) / (g_plus + g_minus))

@@ -10,7 +10,6 @@ from biphoton import (
     DegenerateInputError,
     FrequencyGrid,
     apply_local,
-    apply_to_slice,
     faraday_mirror,
     pdc_state,
     polarization_overlap,
@@ -18,6 +17,7 @@ from biphoton import (
     retarder,
     round_trip,
 )
+from biphoton.state import _both_photons
 
 C_LIGHT = 299792458.0
 
@@ -134,17 +134,19 @@ def test_apply_local_rejects_bad_matrix(state):
         apply_local(state, np.eye(3))
 
 
-def test_apply_to_slice_matches_loop(rng):
-    s = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+def test_both_photons_matches_loop(rng):
+    # the one einsum behind apply_local and postselect's basis rotation, on a
+    # single 2x2 slice and on a stack of slices
     u = random_unitary(rng)
-    out = apply_to_slice(s, u)
-    brute = np.zeros((2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    brute[a, b] += u[a, c] * u[b, d] * s[c, d]
-    np.testing.assert_allclose(out, brute, atol=1e-13)
+    for shape in ((2, 2), (2, 2, 5)):
+        s = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        brute = np.zeros(shape, dtype=complex)
+        for a in range(2):
+            for b in range(2):
+                for c in range(2):
+                    for d in range(2):
+                        brute[a, b] += u[a, c] * u[b, d] * s[c, d]
+        np.testing.assert_allclose(_both_photons(u, s), brute, atol=1e-13)
 
 
 def test_polarization_overlap_triplet_at_degeneracy(state):
@@ -175,7 +177,7 @@ def test_singlet_invariance(rng):
     singlet = BellTarget.psi_minus().amplitude
     for _ in range(50):
         u = random_unitary(rng)
-        rotated = apply_to_slice(singlet, u)
+        rotated = u @ singlet @ u.T
         fid = abs(polarization_overlap(rotated, BellTarget.psi_minus())) ** 2
         assert fid == pytest.approx(1.0, abs=1e-12)
 
