@@ -114,7 +114,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "tau_half_range_lobes": ("int", "positive"),
     },
     "sim": {
-        "seed": ("int", "any"),
+        "seed": ("int", "nonnegative"),
         "output_dir": ("str", "any"),
     },
 }

@@ -16,6 +16,7 @@ in the chain is consistent, which is what the test suite pins down.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -229,7 +230,7 @@ def postselect(
     """Polarization state selected by a coincidence-time window.
 
     The window is mapped to a detuning band through tau = 2 k2 z Omega, the
-    pair amplitude is averaged coherently over the band and renormalized.
+    pair amplitude is averaged coherently over the band's samples and renormalized.
     ``basis`` optionally rotates both photons into an analyzer frame before
     the Bell-state overlaps are evaluated.
     """
@@ -240,18 +241,22 @@ def postselect(
     hi = (window.center + window.half_width) / (2.0 * k2z)
     if lo > hi:
         lo, hi = hi, lo
-    omegas = state.grid.omegas
-    mask = (omegas >= lo) & (omegas <= hi)
-    n_samples = int(np.count_nonzero(mask))
+    # The band is a run of the increasing grid: bisect on grid.omegas[k], exactly.
+    grid = state.grid
+    omega = lambda k: (k - grid.zero_index) * grid.domega  # noqa: E731
+    start = bisect_left(range(grid.n_used), lo, key=omega)
+    stop = bisect_right(range(grid.n_used), hi, key=omega)
+    n_samples = stop - start if lo <= hi else 0  # a nan edge selects nothing
     if n_samples == 0:
         raise EmptyWindowError("window contains no grid samples")
-    band_norm = float(np.sum(np.abs(state.amp[:, :, mask]) ** 2) * state.grid.domega)
+    band = state.amp[:, :, start:stop]
+    band_norm = float(np.vdot(band, band).real * grid.domega)
     total = state.norm()
     if band_norm <= 1e-12 * total:
         raise EmptyWindowError(
             f"window carries {band_norm:.3g} of {total:.3g} total norm (below 1e-12)"
         )
-    avg = np.mean(state.amp[:, :, mask], axis=2)
+    avg = np.mean(band, axis=2)
     if basis is not None:
         avg = _both_photons(basis, avg)
     norm = np.linalg.norm(avg)

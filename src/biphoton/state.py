@@ -6,7 +6,8 @@ orthogonal polarizations.  The state is stored as a complex amplitude
 polarization s1 and photon 2 (omega0 - Omega_k) with polarization s2.  The
 crystal's group-velocity mismatch delays V behind H, which puts the phase
 factors e^{+-i Omega tau0} on the HV / VH components and makes the spectral
-envelope sinc(Omega tau0).
+envelope sinc(Omega tau0).  The phases are evaluated on the Omega >= 0 half
+and mirrored; an operator on both photons is one 4x4 product kron(u, u).
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ class CrystalParams:
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0.0:
                 raise ConfigurationError(f"{name} must be finite and > 0, got {v!r}")
+        if not 0.0 < self.tau0 < np.inf:
+            raise ConfigurationError(f"tau0 = gvm * length / 2 must be finite and > 0, got "
+                                     f"{self.tau0!r} from gvm={self.gvm!r}, length={self.length!r}")
 
     @property
     def degenerate_wavelength(self) -> float:
@@ -102,7 +106,7 @@ class BiphotonState:
 
     def norm(self) -> float:
         """Total probability integral sum |amp|^2 dOmega."""
-        return float(np.sum(np.abs(self.amp) ** 2) * self.grid.domega)
+        return float(np.vdot(self.amp, self.amp).real * self.grid.domega)
 
     def slice_at(self, index: int) -> np.ndarray:
         """Polarization 2x2 amplitude at one detuning sample (not normalized)."""
@@ -119,6 +123,8 @@ def pdc_state(
     HV and VH carry the spectral envelope with opposite detuning phases
     e^{+-i Omega tau0}; HH and VV vanish.  The default envelope is
     sinc(Omega tau0); pass ``spectral_amplitude`` to model a different one.
+    The phases are evaluated on the Omega >= 0 half of the grid and mirrored
+    by conjugation (the grid is exactly antisymmetric about Omega = 0).
     The result is normalized so that norm() == 1.
     """
     tau0 = crystal.tau0
@@ -127,20 +133,31 @@ def pdc_state(
             "grid too narrow: omega_max * tau0 = "
             f"{grid.omega_max * tau0:.3g} < pi does not cover the main spectral lobe"
         )
-    omega = grid.omegas
+    z = grid.zero_index
+    theta = np.arange(z + 1) * grid.domega * tau0  # Omega tau0 at Omega >= 0
+    phase = np.empty(z + 1, dtype=complex)  # e^{i Omega tau0}, as cos + i sin
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
     if spectral_amplitude is None:
-        envelope = np.sinc(omega * tau0 / np.pi).astype(complex)
+        pos = np.ones(z + 1)
+        pos[1:] = phase.imag[1:] / theta[1:]
+        neg = pos[::-1]
     else:
-        envelope = np.asarray(spectral_amplitude(omega), dtype=complex)
-        if envelope.shape != omega.shape:
+        envelope = np.asarray(spectral_amplitude(grid.omegas), dtype=complex)
+        if envelope.shape != (grid.n_used,):
             raise ValueError("spectral_amplitude must return one value per grid point")
-    amp = np.zeros((2, 2, grid.n_used), dtype=complex)
-    amp[0, 1, :] = envelope * np.exp(1j * omega * tau0)
-    amp[1, 0, :] = envelope * np.exp(-1j * omega * tau0)
-    total = np.sum(np.abs(amp) ** 2) * grid.domega
+        pos, neg = envelope[z:], envelope[: z + 1]
+    # |phase| = 1: HV and VH each carry sum |envelope|^2 (Omega = 0 is in both halves)
+    total = np.sum(np.abs(pos) ** 2) + np.sum(np.abs(neg) ** 2) - abs(pos[0]) ** 2
     if total == 0.0:
         raise DegenerateInputError("spectral amplitude is identically zero")
-    amp /= np.sqrt(total)
+    phase *= 1.0 / np.sqrt(2.0 * total * grid.domega)
+    conj = phase.conj()
+    amp = np.zeros((2, 2, grid.n_used), dtype=complex)
+    np.multiply(pos, phase, out=amp[0, 1, z:])
+    np.multiply(neg, conj[::-1], out=amp[0, 1, : z + 1])
+    np.multiply(pos, conj, out=amp[1, 0, z:])
+    np.multiply(neg, phase[::-1], out=amp[1, 0, : z + 1])
     return BiphotonState(grid=grid, crystal=crystal, amp=amp)
 
 
@@ -149,7 +166,7 @@ def _both_photons(u: np.ndarray, amp: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or not np.all(np.isfinite(u.view(float))):
         raise ValueError("operator must be a finite 2x2 matrix")
-    return np.einsum("ac,bd,cd...->ab...", u, u, amp)
+    return (np.kron(u, u) @ amp.reshape(4, -1)).reshape(amp.shape)
 
 
 def apply_local(state: BiphotonState, u: np.ndarray) -> BiphotonState:

@@ -220,6 +220,36 @@ def test_bad_environment_seed_is_config_error(tmp_path, monkeypatch, capsys):
     assert "config error" in err and "BIPHOTON_SEED" in err
 
 
+@pytest.mark.parametrize("scenario", ["histogram", "drift-series"])
+def test_negative_seed_is_config_error(tmp_path, capsys, scenario):
+    assert run(tmp_path, scenario, "--sim.seed=-1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "sim.seed" in err
+
+
+def test_negative_environment_seed_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BIPHOTON_SEED", "-1")
+    assert run(tmp_path, "histogram") == 2
+    err = capsys.readouterr().err
+    assert "BIPHOTON_SEED" in err and "sim.seed" in err
+
+
+def test_tau0_underflow_is_config_error(tmp_path, capsys):
+    assert run(tmp_path, "g2-curves", "--crystal.gvm_s_per_m=5e-324") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "tau0" in err and "gvm" in err
+
+
+@pytest.mark.parametrize("override", ["--postselect.half_width_s=1e300",
+                                      "--fiber.k2_s2_per_m=5e-324"])
+def test_bell_window_past_the_grid_keeps_every_sample(tmp_path, override):
+    # both edges map beyond the grid (overflowing to +-inf): the band is the
+    # whole grid, not an error
+    assert run(tmp_path, "bell-postselect", override) == 0
+    columns, meta = read_csv(tmp_path / "out" / "bell_postselect.csv")
+    assert list(columns["n_band_samples"]) == [int(meta["config.grid.n"]) - 1] * 2
+
+
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert run(tmp_path, "g2-curves", str(tmp_path / "nope.cfg")) == 2
     assert "config error" in capsys.readouterr().err

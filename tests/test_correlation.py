@@ -7,6 +7,7 @@ from biphoton import (
     PLUS_MINUS,
     PLUS_PLUS,
     AnalyzerConfig,
+    BellTarget,
     ConfigurationError,
     CorrelationResult,
     CrystalParams,
@@ -20,6 +21,7 @@ from biphoton import (
     g2_analytic,
     g2_numeric,
     pdc_state,
+    polarization_overlap,
     postselect,
     random_unitary,
     retarder,
@@ -333,3 +335,95 @@ def test_postselect_dead_band_raises(crystal, grid, fiber):
     w = PostSelectionWindow(center=0.0, half_width=0.01 * tau_f(fiber, crystal))
     with pytest.raises(EmptyWindowError):
         postselect(st, fiber, w)
+
+
+def mask_postselect(state, fiber, window):
+    """Oracle: the band as a boolean mask over the whole grid.
+
+    Returns (n_samples, band, psi+ fidelity, psi- fidelity); an empty or
+    dead band raises EmptyWindowError.
+    """
+    k2z = fiber.k2 * fiber.z
+    lo = (window.center - window.half_width) / (2.0 * k2z)
+    hi = (window.center + window.half_width) / (2.0 * k2z)
+    if lo > hi:
+        lo, hi = hi, lo
+    omegas = state.grid.omegas
+    mask = (omegas >= lo) & (omegas <= hi)
+    n_samples = int(np.count_nonzero(mask))
+    if n_samples == 0:
+        raise EmptyWindowError("window contains no grid samples")
+    band_norm = np.sum(np.abs(state.amp[:, :, mask]) ** 2) * state.grid.domega
+    if band_norm <= 1e-12 * np.sum(np.abs(state.amp) ** 2) * state.grid.domega:
+        raise EmptyWindowError("dead band")
+    avg = np.mean(state.amp[:, :, mask], axis=2)
+    avg = avg / np.linalg.norm(avg)
+    fid_plus = abs(polarization_overlap(avg, BellTarget.psi_plus())) ** 2
+    fid_minus = abs(polarization_overlap(avg, BellTarget.psi_minus())) ** 2
+    return n_samples, (lo, hi), fid_plus, fid_minus
+
+
+def assert_same_selection(state, fiber, window):
+    try:
+        expected = mask_postselect(state, fiber, window)
+    except EmptyWindowError:
+        with pytest.raises(EmptyWindowError):
+            postselect(state, fiber, window)
+        return None
+    res = postselect(state, fiber, window)
+    assert (res.n_samples, res.band) == expected[:2]
+    assert res.psi_plus_fidelity == pytest.approx(expected[2], abs=1e-12)
+    assert res.psi_minus_fidelity == pytest.approx(expected[3], abs=1e-12)
+    return res
+
+
+def test_postselect_band_matches_mask_at_exact_edges(state):
+    # 2 k2 z = 2^-75 exactly, so a half width omegas[z + k] * 2^-75 puts both
+    # edges exactly on grid samples (the grid is antisymmetric about zero)
+    fiber = FiberChannel(k2=2.0**-85, geometric_length=256.0, passes="go_and_return")
+    scale = 2.0 * fiber.k2 * fiber.z
+    omegas = state.grid.omegas
+    z = state.grid.zero_index
+    for k in (1, 7, 100, z):
+        window = PostSelectionWindow(center=0.0, half_width=omegas[z + k] * scale)
+        assert -window.half_width / scale == omegas[z - k]
+        assert window.half_width / scale == omegas[z + k]
+        assert assert_same_selection(state, fiber, window).n_samples == 2 * k + 1
+
+
+def test_postselect_band_matches_mask_on_any_window(state, fiber, rng):
+    tf = tau_f(fiber, state.crystal)
+    span = 2.0 * fiber.k2 * fiber.z * state.grid.omega_max  # tau of the grid's last sample
+    windows = [
+        PostSelectionWindow(span, tf / 50),  # straddles the top end
+        PostSelectionWindow(-span, tf / 50),  # straddles the bottom end
+        PostSelectionWindow(1.5 * span, 0.6 * span),  # hi past the top end
+        PostSelectionWindow(-1.5 * span, 0.6 * span),  # lo past the bottom end
+        PostSelectionWindow(0.0, 3.0 * span),  # past both ends
+        PostSelectionWindow(0.0, 1e300),  # both edges overflow to -inf / +inf
+        PostSelectionWindow(0.3 * tf, 1e300),
+        PostSelectionWindow(3.0 * span, tf / 50),  # wholly outside: empty
+    ]
+    for _ in range(200):
+        windows.append(PostSelectionWindow(rng.uniform(-1.2, 1.2) * span,
+                                           10.0 ** rng.uniform(-3.0, 0.5) * span))
+    for window in windows:
+        assert_same_selection(state, fiber, window)
+    assert postselect(state, fiber, windows[4]).n_samples == state.grid.n_used
+    assert postselect(state, fiber, windows[5]).n_samples == state.grid.n_used
+
+
+def test_postselect_band_matches_mask_at_subnormal_dispersion(state):
+    # k2 z is subnormal, so every finite window maps to the whole grid
+    fiber = FiberChannel(k2=5e-324, geometric_length=240.0, passes="go_and_return")
+    assert 0.0 < fiber.k2 * fiber.z < 2.2250738585072014e-308
+    for window in (PostSelectionWindow(0.0, 1.3824e-11), PostSelectionWindow(1e-300, 1e300)):
+        res = assert_same_selection(state, fiber, window)
+        assert res.n_samples == state.grid.n_used
+
+
+def test_postselect_nan_edge_selects_nothing(state):
+    # k2 z overflows to inf; center + half width overflows too, so hi = inf / inf
+    fiber = FiberChannel(k2=1e300, geometric_length=1e10, passes="go_and_return")
+    window = PostSelectionWindow(1e308, 1e308)
+    assert assert_same_selection(state, fiber, window) is None  # both raise

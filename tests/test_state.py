@@ -37,6 +37,15 @@ def test_crystal_rejects_nonpositive():
         CrystalParams(pump_wavelength=351e-9, gvm=0.0, length=5e-4)
 
 
+@pytest.mark.parametrize("gvm, length", [(5e-324, 5e-4), (1e300, 1e10)])
+def test_crystal_rejects_tau0_out_of_range(gvm, length):
+    # both inputs are finite and positive, but tau0 = gvm * length / 2
+    # underflows to 0 or overflows to inf
+    with pytest.raises(ConfigurationError, match="tau0") as info:
+        CrystalParams(pump_wavelength=351e-9, gvm=gvm, length=length)
+    assert repr(gvm) in str(info.value) and repr(length) in str(info.value)
+
+
 def test_grid_requires_power_of_two():
     with pytest.raises(ValueError):
         FrequencyGrid(n=500, omega_max=1e15)
@@ -82,6 +91,38 @@ def test_pdc_state_exchange_symmetry(state):
     np.testing.assert_allclose(
         state.amp[0, 1], np.transpose(flipped, (1, 0, 2))[0, 1], atol=1e-12
     )
+
+
+def dense_pdc_amp(crystal, grid, spectral_amplitude=None):
+    """Oracle: sinc and two exponentials over the whole grid, normalized by
+    the sum of |amp|^2 over all four polarization blocks."""
+    tau0 = crystal.tau0
+    omega = grid.omegas
+    if spectral_amplitude is None:
+        envelope = np.sinc(omega * tau0 / np.pi).astype(complex)
+    else:
+        envelope = np.asarray(spectral_amplitude(omega), dtype=complex)
+    amp = np.zeros((2, 2, grid.n_used), dtype=complex)
+    amp[0, 1, :] = envelope * np.exp(1j * omega * tau0)
+    amp[1, 0, :] = envelope * np.exp(-1j * omega * tau0)
+    return amp / np.sqrt(np.sum(np.abs(amp) ** 2) * grid.domega)
+
+
+def chirped_gauss(tau0):
+    # complex and not even in Omega: a conjugated envelope would not match
+    return lambda omega: np.exp(-0.5 * (omega * tau0) ** 2 + 0.3j * omega * tau0)
+
+
+@pytest.mark.parametrize("n", [512, 2**14])
+@pytest.mark.parametrize("custom", [False, True])
+def test_pdc_state_matches_dense_formula(crystal, n, custom):
+    grid = FrequencyGrid(n=n, omega_max=8.0 * np.pi / crystal.tau0)
+    envelope = chirped_gauss(crystal.tau0) if custom else None
+    expected = dense_pdc_amp(crystal, grid, envelope)
+    amp = pdc_state(crystal, grid, spectral_amplitude=envelope).amp
+    peak = np.max(np.abs(expected))
+    assert np.max(np.abs(amp - expected)) <= 4e-15 * peak
+    assert np.all(amp[0, 0] == 0.0) and np.all(amp[1, 1] == 0.0)
 
 
 def test_pdc_rejects_narrow_grid(crystal):
@@ -135,7 +176,7 @@ def test_apply_local_rejects_bad_matrix(state):
 
 
 def test_both_photons_matches_loop(rng):
-    # the one einsum behind apply_local and postselect's basis rotation, on a
+    # the one 4x4 product behind apply_local and postselect's basis rotation, on a
     # single 2x2 slice and on a stack of slices
     u = random_unitary(rng)
     for shape in ((2, 2), (2, 2, 5)):
