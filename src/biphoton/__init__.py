@@ -36,7 +36,6 @@ from .errors import (
 from .fiber import (
     DriftProcess,
     FiberChannel,
-    apply_gvd,
     channel_operator,
     drift_operators,
     drift_sample,
@@ -92,7 +91,6 @@ __all__ = [
     "RetarderSpec",
     "VisibilityEstimate",
     "analyzer_vector",
-    "apply_gvd",
     "apply_local",
     "backward",
     "channel_operator",

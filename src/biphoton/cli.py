@@ -420,6 +420,7 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
             "psi_plus_fidelity": [res.psi_plus_fidelity for res in results.values()],
             "psi_minus_fidelity": [res.psi_minus_fidelity for res in results.values()],
             "n_band_samples": [res.n_samples for res in results.values()],
+            "selected_fraction": [res.selected_fraction for res in results.values()],
         },
         cfg.metadata("bell-postselect"),
     )

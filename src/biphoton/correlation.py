@@ -17,7 +17,7 @@ in the chain is consistent, which is what the test suite pins down.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
@@ -130,12 +130,6 @@ def g2_analytic(
     return out
 
 
-def _projected_amplitude(state: BiphotonState, analyzer: AnalyzerConfig) -> np.ndarray:
-    e1 = analyzer_vector(analyzer.theta1).conj()
-    e2 = analyzer_vector(analyzer.theta2).conj()
-    return np.einsum("a,b,abk->k", e1, e2, state.amp)
-
-
 def g2_numeric(
     state: BiphotonState,
     fiber: FiberChannel,
@@ -151,8 +145,9 @@ def g2_numeric(
     reduces to the far-field result when tau_f dwarfs the source correlation
     time.  Expects the state before dispersion; the chirp is applied here.
     """
-    a = _projected_amplitude(state, analyzer)
     grid = state.grid
+    e1, e2 = (analyzer_vector(theta).conj() for theta in (analyzer.theta1, analyzer.theta2))
+    a = np.kron(e1, e2) @ state.pol @ state.rows(0, grid.n_used)  # projected amplitude
     k2z = fiber.k2 * fiber.z
     if mode == "far_field":
         if k2z == 0.0:
@@ -219,6 +214,7 @@ class PostSelectionResult:
     psi_minus_fidelity: float
     n_samples: int
     band: tuple[float, float]
+    selected_fraction: float  # share of the state's norm inside the band
 
 
 def postselect(
@@ -230,7 +226,8 @@ def postselect(
     """Polarization state selected by a coincidence-time window.
 
     The window is mapped to a detuning band through tau = 2 k2 z Omega, the
-    pair amplitude is averaged coherently over the band's samples and renormalized.
+    spectral rows are evaluated on the band's samples alone, averaged
+    coherently, mapped through the polarization block and renormalized.
     ``basis`` optionally rotates both photons into an analyzer frame before
     the Bell-state overlaps are evaluated.
     """
@@ -249,14 +246,14 @@ def postselect(
     n_samples = stop - start if lo <= hi else 0  # a nan edge selects nothing
     if n_samples == 0:
         raise EmptyWindowError("window contains no grid samples")
-    band = state.amp[:, :, start:stop]
-    band_norm = float(np.vdot(band, band).real * grid.domega)
+    rows = state.rows(start, stop)
+    band_norm = replace(state, gram=rows.conj() @ rows.T * grid.domega).norm()  # the band's Gram
     total = state.norm()
     if band_norm <= 1e-12 * total:
         raise EmptyWindowError(
             f"window carries {band_norm:.3g} of {total:.3g} total norm (below 1e-12)"
         )
-    avg = np.mean(band, axis=2)
+    avg = (state.pol @ np.mean(rows, axis=1)).reshape(2, 2)
     if basis is not None:
         avg = _both_photons(basis, avg)
     norm = np.linalg.norm(avg)
@@ -271,4 +268,5 @@ def postselect(
         psi_minus_fidelity=float(fid_minus),
         n_samples=n_samples,
         band=(lo, hi),
+        selected_fraction=band_norm / total,
     )

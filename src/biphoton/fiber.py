@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .jones import round_trip
-from .state import BiphotonState, CrystalParams
+from .state import CrystalParams
 
 # Independent substreams of a seed, SeedSequence([seed, id]): the drift walk's
 # axes and angles, and a coincidence histogram's counts.
@@ -197,18 +197,6 @@ def check_chirp_sampling(fiber: FiberChannel, grid) -> None:
             f"dispersion phase under-sampled (edge step {phase_step:.3g} rad >= pi/4); "
             f"use grid n >= {required_grid_n(fiber, grid.omega_max)}"
         )
-
-
-def apply_gvd(state: BiphotonState, fiber: FiberChannel) -> BiphotonState:
-    """Multiply the pair amplitude by the fiber's quadratic spectral phase.
-
-    The phase step between neighboring grid points at the band edge must stay
-    below pi/4, otherwise the sampled chirp aliases.
-    """
-    grid = state.grid
-    check_chirp_sampling(fiber, grid)
-    chirp = np.exp(1j * fiber.k2 * fiber.z * grid.omegas**2)
-    return BiphotonState(grid=grid, crystal=state.crystal, amp=state.amp * chirp)
 
 
 def channel_operator(fiber: FiberChannel, t: float) -> np.ndarray:

@@ -1,18 +1,17 @@
 """Two-photon polarization/frequency state from type-II down-conversion.
 
-The pump at frequency 2*omega0 produces photon pairs at omega0 +- Omega with
-orthogonal polarizations.  The state is stored as a complex amplitude
-``amp[s1, s2, k]`` for finding photon 1 (frequency omega0 + Omega_k) with
-polarization s1 and photon 2 (omega0 - Omega_k) with polarization s2.  The
-crystal's group-velocity mismatch delays V behind H, which puts the phase
-factors e^{+-i Omega tau0} on the HV / VH components and makes the spectral
-envelope sinc(Omega tau0).  The phases are evaluated on the Omega >= 0 half
-and mirrored; an operator on both photons is one 4x4 product kron(u, u).
+The pump at 2*omega0 produces pairs at omega0 +- Omega with orthogonal
+polarizations.  The crystal's group-velocity mismatch delays V behind H, so
+photon 1 (omega0 + Omega) in H with photon 2 in V carries the spectral row
+env e^{i Omega tau0} and VH the row env e^{-i Omega tau0}, env = sinc(Omega tau0).
+An element u in both paths acts as kron(u, u) on a 4x2 polarization block, so
+the state stays that block times the two rows (Schmidt rank at most 2); the
+rows are evaluated in closed form where read, their 2x2 Gram matrix gives the norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -20,6 +19,8 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError
 
 _C_LIGHT = 299792458.0
+# Samples per block of the Gram pass in pdc_state: temporaries stay in cache.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,7 @@ class FrequencyGrid:
 
     @property
     def omegas(self) -> np.ndarray:
-        k = np.arange(self.n - 1)
-        return (k - (self.n // 2 - 1)) * self.domega
+        return (np.arange(self.n - 1) - self.zero_index) * self.domega
 
     @property
     def zero_index(self) -> int:
@@ -95,22 +95,26 @@ class FrequencyGrid:
 
 @dataclass
 class BiphotonState:
+    """Pair amplitude amp[s1, s2, k] = sum_j pol[2 s1 + s2, j] rows(start, stop)[j, k - start].
+
+    ``rows`` evaluates the two spectral rows on samples start..stop-1, and
+    gram[i, j] = sum_k conj(rows[i, k]) rows[j, k] dOmega over the whole grid.
+    """
+
     grid: FrequencyGrid
     crystal: CrystalParams
-    amp: np.ndarray = field(repr=False)
+    pol: np.ndarray = field(repr=False)
+    gram: np.ndarray = field(repr=False)
+    rows: Callable[[int, int], np.ndarray] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        self.amp = np.asarray(self.amp, dtype=complex)
-        if self.amp.shape != (2, 2, self.grid.n_used):
-            raise ValueError(f"amp shape {self.amp.shape} does not match grid")
+    @property
+    def amp(self) -> np.ndarray:
+        """The (2, 2, n_used) amplitude amp[s1, s2, k], materialized on the whole grid."""
+        return (self.pol @ self.rows(0, self.grid.n_used)).reshape(2, 2, -1)
 
     def norm(self) -> float:
-        """Total probability integral sum |amp|^2 dOmega."""
-        return float(np.vdot(self.amp, self.amp).real * self.grid.domega)
-
-    def slice_at(self, index: int) -> np.ndarray:
-        """Polarization 2x2 amplitude at one detuning sample (not normalized)."""
-        return self.amp[:, :, index].copy()
+        """Total probability integral sum |amp|^2 dOmega, from the Gram matrix."""
+        return float(np.einsum("pi,ij,pj->", self.pol.conj(), self.gram, self.pol).real)
 
 
 def pdc_state(
@@ -118,14 +122,14 @@ def pdc_state(
     grid: FrequencyGrid,
     spectral_amplitude: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> BiphotonState:
-    """Post-selected pair amplitude of type-II down-conversion.
+    """Post-selected pair amplitude of type-II down-conversion, with norm() == 1.
 
-    HV and VH carry the spectral envelope with opposite detuning phases
-    e^{+-i Omega tau0}; HH and VV vanish.  The default envelope is
-    sinc(Omega tau0); pass ``spectral_amplitude`` to model a different one.
-    The phases are evaluated on the Omega >= 0 half of the grid and mirrored
-    by conjugation (the grid is exactly antisymmetric about Omega = 0).
-    The result is normalized so that norm() == 1.
+    HV and VH carry env e^{+-i Omega tau0}; HH and VV vanish.  The default
+    envelope is sinc(Omega tau0); a ``spectral_amplitude`` replaces it and is
+    called on the detunings of each run of samples evaluated.  The Gram matrix
+    is one real pass in blocks of ``_BLOCK``: sum |env|^2 and sum |env|^2
+    e^{-2i Omega tau0}, with cos 2x = 1 - 2 sin^2 x; for the sinc it covers the
+    Omega >= 0 half, the grid being exactly antisymmetric about Omega = 0.
     """
     tau0 = crystal.tau0
     if grid.omega_max * tau0 < np.pi:
@@ -134,35 +138,46 @@ def pdc_state(
             f"{grid.omega_max * tau0:.3g} < pi does not cover the main spectral lobe"
         )
     z = grid.zero_index
-    theta = np.arange(z + 1) * grid.domega * tau0  # Omega tau0 at Omega >= 0
-    phase = np.empty(z + 1, dtype=complex)  # e^{i Omega tau0}, as cos + i sin
-    np.cos(theta, out=phase.real)
-    np.sin(theta, out=phase.imag)
-    if spectral_amplitude is None:
-        pos = np.ones(z + 1)
-        pos[1:] = phase.imag[1:] / theta[1:]
-        neg = pos[::-1]
-    else:
-        envelope = np.asarray(spectral_amplitude(grid.omegas), dtype=complex)
-        if envelope.shape != (grid.n_used,):
+
+    def envelope(start: int, stop: int):
+        """Omega tau0, sin(Omega tau0) and the envelope on samples start..stop-1."""
+        omegas = np.arange(start - z, stop - z) * grid.domega
+        theta = omegas * tau0
+        sin = np.sin(theta)
+        if spectral_amplitude is None:
+            env = np.divide(sin, theta, out=np.ones_like(theta), where=theta != 0.0)
+        else:
+            env = np.asarray(spectral_amplitude(omegas), dtype=complex)
+        if env.shape != theta.shape:
             raise ValueError("spectral_amplitude must return one value per grid point")
-        pos, neg = envelope[z:], envelope[: z + 1]
-    # |phase| = 1: HV and VH each carry sum |envelope|^2 (Omega = 0 is in both halves)
-    total = np.sum(np.abs(pos) ** 2) + np.sum(np.abs(neg) ** 2) - abs(pos[0]) ** 2
+        return theta, sin, env
+
+    half = spectral_amplitude is None  # the sinc is real and even
+    sums = np.zeros(3)  # sum |env|^2, sum |env|^2 sin^2, sum |env|^2 sin cos
+    for start in range(z if half else 0, grid.n_used, _BLOCK):
+        theta, sin, env = envelope(start, min(start + _BLOCK, grid.n_used))
+        weight = np.abs(env) ** 2
+        weighted = weight * sin
+        sums += weight.sum(), weighted @ sin, 0.0 if half else weighted @ np.cos(theta)
+    # the sinc's half mirrors Omega > 0; Omega = 0 (envelope 1, sine 0) counts once
+    total, sin2, sincos = 2.0 * sums - (1.0, 0.0, 0.0) if half else sums
     if total == 0.0:
         raise DegenerateInputError("spectral amplitude is identically zero")
-    phase *= 1.0 / np.sqrt(2.0 * total * grid.domega)
-    conj = phase.conj()
-    amp = np.zeros((2, 2, grid.n_used), dtype=complex)
-    np.multiply(pos, phase, out=amp[0, 1, z:])
-    np.multiply(neg, conj[::-1], out=amp[0, 1, : z + 1])
-    np.multiply(pos, conj, out=amp[1, 0, z:])
-    np.multiply(neg, phase[::-1], out=amp[1, 0, : z + 1])
-    return BiphotonState(grid=grid, crystal=crystal, amp=amp)
+    cross = complex(total - 2.0 * sin2, -2.0 * sincos)  # sum |env|^2 e^{-2i Omega tau0}
+    gram = np.array([[total, cross], [cross.conjugate(), total]]) / (2.0 * total)
+    scale = 1.0 / np.sqrt(2.0 * total * grid.domega)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        theta, sin, env = envelope(start, stop)
+        phase = (np.cos(theta) + 1j * sin) * scale
+        return np.stack((phase, phase.conj())) * env
+
+    pol = np.array([[0, 0], [1, 0], [0, 1], [0, 0]], dtype=complex)
+    return BiphotonState(grid=grid, crystal=crystal, pol=pol, gram=gram, rows=rows)
 
 
 def _both_photons(u: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """Apply the single-photon operator u to both indices of amp[s1, s2, ...]."""
+    """Apply u to both photons of amp[s1, s2, ...] or amp[2 s1 + s2, ...]: one 4x4 product."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or not np.all(np.isfinite(u.view(float))):
         raise ValueError("operator must be a finite 2x2 matrix")
@@ -170,8 +185,8 @@ def _both_photons(u: np.ndarray, amp: np.ndarray) -> np.ndarray:
 
 
 def apply_local(state: BiphotonState, u: np.ndarray) -> BiphotonState:
-    """Send both photons through the same polarization element ``u``."""
-    return BiphotonState(grid=state.grid, crystal=state.crystal, amp=_both_photons(u, state.amp))
+    """Send both photons through the same polarization element ``u``: pol -> kron(u, u) pol."""
+    return replace(state, pol=_both_photons(u, state.pol))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import io
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,8 @@ def test_bell_postselect_reports_fidelities(tmp_path, capsys):
     minus_fid = np.asarray(columns["psi_minus_fidelity"])
     assert plus_fid[rows["psi_plus"]] == pytest.approx(1.0, abs=1e-9)
     assert minus_fid[rows["psi_minus"]] > 0.999
+    # each narrow window keeps a small share of the pairs
+    assert all(0.0 < f < 0.1 for f in columns["selected_fraction"])
 
 
 def test_drift_series_columns(tmp_path):
@@ -248,6 +251,19 @@ def test_bell_window_past_the_grid_keeps_every_sample(tmp_path, override):
     assert run(tmp_path, "bell-postselect", override) == 0
     columns, meta = read_csv(tmp_path / "out" / "bell_postselect.csv")
     assert list(columns["n_band_samples"]) == [int(meta["config.grid.n"]) - 1] * 2
+    np.testing.assert_allclose(columns["selected_fraction"], 1.0, atol=1e-12)
+
+
+def test_bell_postselect_allocates_no_grid_length_array(tmp_path):
+    # one complex row of this grid is 32 MiB; the state is a 4x2 block, a
+    # 2x2 Gram matrix and rows evaluated in blocks or over the band alone
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, "bell-postselect", "--grid.n=2097152") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Coincidence shapes: closed forms, numeric transforms, post-selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -340,8 +342,8 @@ def test_postselect_dead_band_raises(crystal, grid, fiber):
 def mask_postselect(state, fiber, window):
     """Oracle: the band as a boolean mask over the whole grid.
 
-    Returns (n_samples, band, psi+ fidelity, psi- fidelity); an empty or
-    dead band raises EmptyWindowError.
+    Returns (n_samples, band, psi+ fidelity, psi- fidelity, selected
+    fraction); an empty or dead band raises EmptyWindowError.
     """
     k2z = fiber.k2 * fiber.z
     lo = (window.center - window.half_width) / (2.0 * k2z)
@@ -353,14 +355,16 @@ def mask_postselect(state, fiber, window):
     n_samples = int(np.count_nonzero(mask))
     if n_samples == 0:
         raise EmptyWindowError("window contains no grid samples")
-    band_norm = np.sum(np.abs(state.amp[:, :, mask]) ** 2) * state.grid.domega
-    if band_norm <= 1e-12 * np.sum(np.abs(state.amp) ** 2) * state.grid.domega:
+    amp = state.amp
+    band_norm = np.sum(np.abs(amp[:, :, mask]) ** 2) * state.grid.domega
+    total = np.sum(np.abs(amp) ** 2) * state.grid.domega
+    if band_norm <= 1e-12 * total:
         raise EmptyWindowError("dead band")
-    avg = np.mean(state.amp[:, :, mask], axis=2)
+    avg = np.mean(amp[:, :, mask], axis=2)
     avg = avg / np.linalg.norm(avg)
     fid_plus = abs(polarization_overlap(avg, BellTarget.psi_plus())) ** 2
     fid_minus = abs(polarization_overlap(avg, BellTarget.psi_minus())) ** 2
-    return n_samples, (lo, hi), fid_plus, fid_minus
+    return n_samples, (lo, hi), fid_plus, fid_minus, band_norm / total
 
 
 def assert_same_selection(state, fiber, window):
@@ -374,6 +378,7 @@ def assert_same_selection(state, fiber, window):
     assert (res.n_samples, res.band) == expected[:2]
     assert res.psi_plus_fidelity == pytest.approx(expected[2], abs=1e-12)
     assert res.psi_minus_fidelity == pytest.approx(expected[3], abs=1e-12)
+    assert res.selected_fraction == pytest.approx(expected[4], abs=1e-12)
     return res
 
 
@@ -427,3 +432,22 @@ def test_postselect_nan_edge_selects_nothing(state):
     fiber = FiberChannel(k2=1e300, geometric_length=1e10, passes="go_and_return")
     window = PostSelectionWindow(1e308, 1e308)
     assert assert_same_selection(state, fiber, window) is None  # both raise
+
+
+def test_selected_fractions_of_a_tiling_sum_to_one(state, rng):
+    # windows whose edges sit halfway between samples tile the grid, so every
+    # sample is selected once and the fractions add up to the whole norm
+    fiber = FiberChannel(k2=2.0**-85, geometric_length=256.0, passes="go_and_return")
+    scale = 2.0 * fiber.k2 * fiber.z
+    grid = state.grid
+    cuts = np.sort(rng.choice(np.arange(2, grid.n_used - 1), size=20, replace=False))
+    edges = (np.concatenate(([0], cuts, [grid.n_used])) - grid.zero_index - 0.5) * grid.domega
+    # a generic (non-unitary) plate mixes the rows and scales the total norm;
+    # an arbitrary 4x2 block also weighs the imaginary part of a band's Gram
+    plate = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    pol = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    for st in (state, apply_local(state, plate), replace(state, pol=pol)):
+        results = [assert_same_selection(st, fiber, PostSelectionWindow(
+            0.5 * (lo + hi) * scale, 0.5 * (hi - lo) * scale)) for lo, hi in zip(edges, edges[1:])]
+        assert sum(res.n_samples for res in results) == grid.n_used
+        assert sum(res.selected_fraction for res in results) == pytest.approx(1.0, abs=1e-12)

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from biphoton import (
+    PLUS_PLUS,
     ConfigurationError,
     DriftProcess,
     FiberChannel,
     FrequencyGrid,
-    apply_gvd,
     channel_operator,
     drift_sample,
     drift_walk,
     faraday_mirror,
+    g2_numeric,
     pdc_state,
     phase_aligned_distance,
     required_grid_n,
@@ -67,39 +68,17 @@ def test_transmittance_values(fiber):
     assert transmittance(one_km) == pytest.approx(10 ** (-1.2), rel=1e-12)
 
 
-def test_apply_gvd_zero_dispersion_is_identity(state):
-    flat = FiberChannel(k2=0.0, geometric_length=240.0)
-    out = apply_gvd(state, flat)
-    np.testing.assert_array_equal(out.amp, state.amp)
-
-
-def test_apply_gvd_preserves_modulus_and_norm(state):
-    # mild chirp so the n=512 grid resolves the quadratic phase
-    mild = FiberChannel(k2=2.5e-30, geometric_length=100.0, passes="single")
-    out = apply_gvd(state, mild)
-    np.testing.assert_allclose(np.abs(out.amp), np.abs(state.amp), atol=1e-12)
-    assert out.norm() == pytest.approx(state.norm(), rel=1e-12)
-
-
-def test_apply_gvd_composes_additively(state):
-    half = FiberChannel(k2=2.5e-30, geometric_length=50.0, passes="single")
-    full = FiberChannel(k2=2.5e-30, geometric_length=100.0, passes="single")
-    twice = apply_gvd(apply_gvd(state, half), half)
-    once = apply_gvd(state, full)
-    np.testing.assert_allclose(twice.amp, once.amp, atol=1e-12)
-
-
-def test_apply_gvd_aliasing_guard_names_required_size(crystal):
+def test_exact_fourier_aliasing_guard_names_required_size(crystal):
     coarse = FrequencyGrid(n=256, omega_max=8 * np.pi / crystal.tau0)
     st = pdc_state(crystal, coarse)
     strong = FiberChannel(k2=1.6e-28, geometric_length=250.0, passes="single")
     with pytest.raises(ConfigurationError) as err:
-        apply_gvd(st, strong)
+        g2_numeric(st, strong, PLUS_PLUS, mode="exact_fourier")
     needed = required_grid_n(strong, coarse.omega_max)
     assert str(needed) in str(err.value)
     # and the suggested size actually clears the guard
     fine = FrequencyGrid(n=needed, omega_max=8 * np.pi / crystal.tau0)
-    apply_gvd(pdc_state(crystal, fine), strong)
+    g2_numeric(pdc_state(crystal, fine), strong, PLUS_PLUS, mode="exact_fourier")
 
 
 def test_required_grid_n_is_power_of_two(fiber, grid):

@@ -1,5 +1,7 @@
 """Two-photon spectral state: construction, local operations, overlaps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -105,7 +107,8 @@ def dense_pdc_amp(crystal, grid, spectral_amplitude=None):
     amp = np.zeros((2, 2, grid.n_used), dtype=complex)
     amp[0, 1, :] = envelope * np.exp(1j * omega * tau0)
     amp[1, 0, :] = envelope * np.exp(-1j * omega * tau0)
-    return amp / np.sqrt(np.sum(np.abs(amp) ** 2) * grid.domega)
+    amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * grid.domega)
+    return amp
 
 
 def chirped_gauss(tau0):
@@ -113,7 +116,7 @@ def chirped_gauss(tau0):
     return lambda omega: np.exp(-0.5 * (omega * tau0) ** 2 + 0.3j * omega * tau0)
 
 
-@pytest.mark.parametrize("n", [512, 2**14])
+@pytest.mark.parametrize("n", [512, 2**14, 2**21])
 @pytest.mark.parametrize("custom", [False, True])
 def test_pdc_state_matches_dense_formula(crystal, n, custom):
     grid = FrequencyGrid(n=n, omega_max=8.0 * np.pi / crystal.tau0)
@@ -121,8 +124,55 @@ def test_pdc_state_matches_dense_formula(crystal, n, custom):
     expected = dense_pdc_amp(crystal, grid, envelope)
     amp = pdc_state(crystal, grid, spectral_amplitude=envelope).amp
     peak = np.max(np.abs(expected))
-    assert np.max(np.abs(amp - expected)) <= 4e-15 * peak
+    # one polarization pair at a time keeps the 2^21 case small
+    for got, want in zip(amp.reshape(4, -1), expected.reshape(4, -1)):
+        assert np.max(np.abs(got - want)) <= 4e-15 * peak
     assert np.all(amp[0, 0] == 0.0) and np.all(amp[1, 1] == 0.0)
+
+
+@pytest.mark.parametrize("custom", [False, True])
+def test_norm_and_gram_are_exact_on_a_fine_grid(crystal, custom):
+    # a narrow envelope on 2^21 samples: a BLAS dot over the grid put the
+    # norm 3.2e-14 off; the Gram matrix of the rows gives it to rounding
+    grid = FrequencyGrid(n=2**21, omega_max=8.0 * np.pi / crystal.tau0)
+    st = pdc_state(crystal, grid, chirped_gauss(crystal.tau0) if custom else None)
+    assert abs(st.norm() - 1.0) <= 4e-16
+    rows = st.rows(0, grid.n_used)
+    # the rows as evaluated integrate to the norm and match their Gram matrix
+    assert abs(np.sum(np.square(rows.view(float))) * grid.domega - 1.0) <= 1e-15
+    np.testing.assert_allclose(st.gram, rows.conj() @ rows.T * grid.domega, rtol=0, atol=2e-15)
+
+
+def lorentz_shifted(tau0):
+    # complex, its modulus not even in Omega and not small at the grid ends,
+    # so the Gram matrix has a complex off-diagonal and every sample counts
+    return lambda omega: (1.0 + 0.5j * omega * tau0) / (1.0 + (omega * tau0 - 1.0) ** 2)
+
+
+@pytest.mark.parametrize("shape", [None, chirped_gauss, lorentz_shifted])
+def test_rows_on_any_slice_and_gram_match_the_whole_grid(crystal, grid, rng, shape):
+    st = pdc_state(crystal, grid, spectral_amplitude=shape and shape(crystal.tau0))
+    whole = st.rows(0, grid.n_used)
+    np.testing.assert_allclose(st.gram, whole.conj() @ whole.T * grid.domega, rtol=0, atol=1e-15)
+    for start, stop in ((0, 1), (grid.zero_index, grid.zero_index + 1), (3, 300),
+                        *(np.sort(rng.choice(grid.n_used + 1, 2, replace=False))
+                          for _ in range(10))):
+        np.testing.assert_allclose(st.rows(start, stop), whole[:, start:stop],
+                                   rtol=0, atol=1e-15 * np.max(np.abs(whole)))
+
+
+@pytest.mark.parametrize("shape", [None, lorentz_shifted])
+def test_norm_follows_the_gram_matrix_for_any_block(crystal, grid, rng, shape):
+    # a non-unitary element changes the norm, and so does an arbitrary 4x2
+    # block; the contraction with the Gram matrix still equals the sum over
+    # the materialized amplitude
+    state = pdc_state(crystal, grid, spectral_amplitude=shape and shape(crystal.tau0))
+    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    pol = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    for st in (apply_local(state, u), replace(state, pol=pol)):
+        dense = np.sum(np.abs(st.amp) ** 2) * grid.domega
+        assert st.norm() == pytest.approx(dense, rel=1e-14)
+        assert abs(dense - 1.0) > 1e-3
 
 
 def test_pdc_rejects_narrow_grid(crystal):
@@ -191,7 +241,7 @@ def test_both_photons_matches_loop(rng):
 
 
 def test_polarization_overlap_triplet_at_degeneracy(state):
-    sl = state.slice_at(state.grid.zero_index)
+    sl = state.amp[:, :, state.grid.zero_index]
     fid_plus = abs(polarization_overlap(sl, BellTarget.psi_plus())) ** 2
     assert fid_plus == pytest.approx(1.0, abs=1e-12)
     fid_minus = abs(polarization_overlap(sl, BellTarget.psi_minus())) ** 2
@@ -202,7 +252,7 @@ def test_polarization_overlap_half_wave_at_22p5_kills_triplet(state):
     # a half-wave plate at 22.5 degrees rotates the symmetric state into
     # the antisymmetric one
     st = apply_local(state, retarder(np.pi / 2, np.pi / 8))
-    sl = st.slice_at(st.grid.zero_index)
+    sl = st.amp[:, :, st.grid.zero_index]
     assert abs(polarization_overlap(sl, BellTarget.psi_plus())) == pytest.approx(
         0.0, abs=1e-12
     )
@@ -235,6 +285,6 @@ def test_round_trip_on_both_photons_restores_triplet(state, rng):
     u = random_unitary(rng)
     rt = round_trip(u)
     st = apply_local(state, rt)
-    sl = st.slice_at(st.grid.zero_index)
+    sl = st.amp[:, :, st.grid.zero_index]
     fid = abs(polarization_overlap(sl, BellTarget.psi_plus())) ** 2
     assert fid == pytest.approx(1.0, abs=1e-10)
