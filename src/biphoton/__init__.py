@@ -11,6 +11,7 @@ from .coincidence import (
     DetectorParams,
     Histogram,
     VisibilityEstimate,
+    channel_visibility,
     drift_timeseries,
     estimate_visibility,
     simulate_histogram,
@@ -56,6 +57,7 @@ from .jones import (
     retarder,
     rotator,
     round_trip,
+    unitarity_residual,
 )
 from .state import (
     BellTarget,
@@ -94,6 +96,7 @@ __all__ = [
     "apply_local",
     "backward",
     "channel_operator",
+    "channel_visibility",
     "drift_operators",
     "drift_sample",
     "drift_timeseries",
@@ -116,5 +119,6 @@ __all__ = [
     "simulate_histogram",
     "tau_f",
     "transmittance",
+    "unitarity_residual",
     "visibility",
 ]

@@ -301,10 +301,19 @@ def drift_timeseries(
 
     scenario 'single' applies the drifting fiber unitary directly;
     'go_and_return' applies the Faraday-mirror round trip built from the
-    same unitary.  Returns an array of rows (t, visibility).
+    same unitary.  Returns a float array of shape (T, 2): column 0 holds the
+    sample times, column 1 the visibility at each (see ``channel_visibility``).
     """
     times = np.asarray(sample_times, dtype=float)
-    ops = drift_operators(drift, times, scenario)
+    return np.column_stack([times, channel_visibility(drift_operators(drift, times, scenario))])
+
+
+def channel_visibility(ops: np.ndarray) -> np.ndarray:
+    """Zero-delay psi+ visibility through each channel operator of a (T, 2, 2) stack.
+
+    Both photons pass the operator; the visibility (G++ - G+-) / (G++ + G+-)
+    compares the +45/+45 and +45/-45 analyzer settings.  Returns shape (T,).
+    """
     # Amplitudes <e_+, e_y| (op x op) |psi+> for the analyzer pairs y = +, -.
     e_p = analyzer_vector(np.pi / 4.0).conj()
     e_y = np.stack([e_p, analyzer_vector(-np.pi / 4.0).conj()])
@@ -312,4 +321,4 @@ def drift_timeseries(
         "a,tac,cd,yb,tbd->ty", e_p, ops, BellTarget.psi_plus().amplitude, e_y, ops, optimize=True
     )
     g_plus, g_minus = (np.abs(amp) ** 2).T
-    return np.column_stack([times, (g_plus - g_minus) / (g_plus + g_minus)])
+    return (g_plus - g_minus) / (g_plus + g_minus)

@@ -141,7 +141,12 @@ def drift_operators(drift: DriftProcess, times, passes: str) -> np.ndarray:
         raise ValueError("sample times must be a non-empty 1-d sequence")
     if np.any(~np.isfinite(times)) or np.any(times < 0.0):
         raise ValueError("sample times must be finite and >= 0")
-    steps = np.floor(times / drift.time_step).astype(int)
+    with np.errstate(over="ignore"):
+        steps = np.floor(times / drift.time_step)
+    # 2^63 is the first float past the int range; inf (an overflowed quotient) fails too.
+    if not np.all(steps < 2.0**63):
+        raise ValueError(f"walk step index {np.max(steps):.3g} does not fit in an int")
+    steps = steps.astype(int)
     u = drift_walk(drift, int(np.max(steps)))[steps]
     return u if passes == "single" else round_trip(u)
 

@@ -10,6 +10,10 @@ axis at ``alpha`` from horizontal is
 so ``delta = pi/2`` is a half-wave plate.  The Faraday mirror is the fixed
 matrix [[0, -1], [-1, 0]]; combined with the transposition convention of
 ``backward`` it cancels any unitary acquired on the forward pass.
+
+The round trip and the unitarity check take one matrix or a (..., 2, 2)
+stack and are computed elementwise on the four entry arrays u[..., i, j],
+with no stacked matrix product.
 """
 
 from __future__ import annotations
@@ -112,13 +116,28 @@ def backward(u: np.ndarray) -> np.ndarray:
     return np.swapaxes(u, -1, -2) * _SANDWICH_SIGNS
 
 
+def unitarity_residual(u: np.ndarray) -> float:
+    """Worst entrywise |u^H u - 1| over one 2x2 matrix or a (..., 2, 2) stack.
+
+    The Gram entries are |a|^2 + |c|^2, |b|^2 + |d|^2 and conj(a) b + conj(c) d
+    (the fourth is the conjugate of the third).  inf when ``u`` is not of that
+    shape or has a non-finite entry; 0.0 for an empty stack.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape[-2:] != (2, 2) or not np.all(np.isfinite(u)):
+        return math.inf
+    (a, b), (c, d) = np.moveaxis(u, (-2, -1), (0, 1))
+    residuals = (
+        np.abs(a) ** 2 + np.abs(c) ** 2 - 1.0,
+        np.abs(b) ** 2 + np.abs(d) ** 2 - 1.0,
+        a.conj() * b + c.conj() * d,
+    )
+    return max(float(np.max(np.abs(r), initial=0.0)) for r in residuals)
+
+
 def is_unitary(u: np.ndarray, atol: float = ATOL_COMPOSED) -> bool:
     """True when ``u`` (2x2, or a (..., 2, 2) stack) is unitary in every matrix."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape[-2:] != (2, 2) or not np.all(np.isfinite(u.view(float))):
-        return False
-    gram = np.swapaxes(u, -1, -2).conj() @ u
-    return bool(np.all(np.abs(gram - np.eye(2)) <= atol))
+    return unitarity_residual(u) <= atol
 
 
 def round_trip(u: np.ndarray) -> np.ndarray:
@@ -126,13 +145,21 @@ def round_trip(u: np.ndarray) -> np.ndarray:
 
     For unitary ``u`` this collapses to det(u) * faraday_mirror(): the fiber
     birefringence drops out of the round trip no matter what ``u`` is.  A
-    (..., 2, 2) stack gives the stack of round trips; every matrix in it must
-    be unitary.
+    (..., 2, 2) stack gives the stack of round trips, computed elementwise
+    on the entry arrays; every matrix in it must be unitary.
     """
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u, atol=ATOL_COMPOSED):
         raise PreconditionError("round_trip requires unitary operators")
-    return backward(u) @ _FARADAY @ u
+    (a, b), (c, d) = np.moveaxis(u, (-2, -1), (0, 1))
+    # backward(u) @ FM = [[a, -c], [-b, d]] @ [[0, -1], [-1, 0]] = [[c, -a], [-d, b]],
+    # times u entry by entry; in exact arithmetic that is [[0, -det u], [-det u, 0]].
+    out = np.empty(u.shape, dtype=complex)
+    out[..., 0, 0] = c * a - a * c
+    out[..., 0, 1] = c * b - a * d
+    out[..., 1, 0] = b * c - d * a
+    out[..., 1, 1] = b * d - d * b
+    return out
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,8 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton import RetarderSpec, cli, g2_analytic
+from biphoton import (
+    DriftProcess,
+    RetarderSpec,
+    cli,
+    drift_operators,
+    drift_timeseries,
+    g2_analytic,
+    unitarity_residual,
+)
+from biphoton import fiber as fiber_module
 from biphoton.csvio import read_csv
+from biphoton.jones import ATOL_COMPOSED
 
 TAU_F = 6.912e-10
 
@@ -113,6 +123,78 @@ def test_drift_series_columns(tmp_path):
     np.testing.assert_allclose(ret, 1.0, atol=1e-9)
     single = np.asarray(columns["visibility_single_pass"])
     assert np.min(single) < 0.999
+
+
+@pytest.mark.parametrize("overrides", [
+    (),
+    ("--sim.seed=4",),
+    ("--drift.time_step_s=0.5", "--drift_series.duration_s=600",
+     "--drift_series.sample_interval_s=7"),
+])
+def test_drift_series_walks_once_for_both_layouts(tmp_path, monkeypatch, overrides):
+    calls = []
+    step_pairs = fiber_module._step_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return step_pairs(*args)
+
+    monkeypatch.setattr(fiber_module, "_step_pairs", counted)
+    assert run(tmp_path, "drift-series", *overrides) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    columns, meta = read_csv(tmp_path / "out" / "drift_series.csv")
+    drift = DriftProcess(
+        correlation_time=float(meta["config.drift.correlation_time_s"]),
+        step_angle_scale=float(meta["config.drift.step_angle_scale_rad"]),
+        seed=int(meta["config.sim.seed"]),
+        time_step=float(meta["config.drift.time_step_s"]),
+    )
+    times = columns["t_s"]
+    for column, passes in (("visibility_single_pass", "single"),
+                           ("visibility_go_and_return", "go_and_return")):
+        np.testing.assert_array_equal(columns[column], drift_timeseries(passes, drift, times)[:, 1])
+    residual = float(meta["diag.max_unitarity_residual"])
+    assert residual == unitarity_residual(drift_operators(drift, times, "single"))
+    assert residual <= ATOL_COMPOSED
+
+
+@pytest.mark.parametrize("overrides", [
+    ("--drift.time_step_s=1e-300", "--drift_series.duration_s=10",
+     "--drift_series.sample_interval_s=5"),
+    ("--drift_series.duration_s=1e308", "--drift_series.sample_interval_s=1e307"),
+    ("--drift.time_step_s=1e-6", "--drift_series.duration_s=1000"),
+])
+def test_drift_series_too_many_steps_is_config_error(tmp_path, monkeypatch, capsys, overrides):
+    def no_walk(*args):
+        raise AssertionError("the walk must not start")
+
+    monkeypatch.setattr(fiber_module, "_step_pairs", no_walk)
+    start = time.perf_counter()
+    assert run(tmp_path, "drift-series", *overrides) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "drift.time_step_s" in err and "drift_series.duration_s" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_drift_series_too_many_rows_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fiber_module, "_step_pairs", None)
+    overrides = ("--drift.time_step_s=1e6", "--drift_series.duration_s=1e7",
+                 "--drift_series.sample_interval_s=1")
+    assert run(tmp_path, "drift-series", *overrides) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "drift_series.sample_interval_s" in err and "drift_series.duration_s" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_config_problem_exits_2(tmp_path, capsys):
+    assert run(tmp_path, "g2-curves", "--fiber.k2_s2_per_m=0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "fiber.k2_s2_per_m" in err
 
 
 def test_histogram_reports_visibility(tmp_path, capsys):

@@ -20,6 +20,7 @@ from biphoton import (
     PostSelectionWindow,
     analyzer_vector,
     channel_operator,
+    channel_visibility,
     drift_timeseries,
     estimate_visibility,
     g2_analytic,
@@ -414,6 +415,14 @@ def test_drift_series_matches_per_time_channel_operators():
         series = drift_timeseries(passes, drift, times)
         np.testing.assert_array_equal(series[:, 0], times)
         np.testing.assert_allclose(series[:, 1], expected, rtol=0, atol=1e-12)
+
+
+def test_channel_visibility_of_known_operators():
+    # identity: full contrast; a half-wave plate at 22.5 degrees on both photons
+    # takes HV + VH to DA + AD, which the +45/+45 analyzers never pass together
+    hwp = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    np.testing.assert_allclose(channel_visibility(np.stack([np.eye(2), hwp])), [1.0, -1.0],
+                               atol=1e-15)
 
 
 def test_drift_series_is_deterministic():

@@ -10,6 +10,7 @@ from biphoton import (
     FiberChannel,
     FrequencyGrid,
     channel_operator,
+    drift_operators,
     drift_sample,
     drift_walk,
     faraday_mirror,
@@ -20,6 +21,7 @@ from biphoton import (
     tau_f,
     transmittance,
 )
+from biphoton import fiber as fiber_module
 
 
 def test_effective_length_doubles_on_return():
@@ -158,6 +160,20 @@ def test_drift_samples_follow_walk():
     for t in (0.0, 3.5, 3.6, 100.0, 359.999):
         idx = int(np.floor(t / p.time_step))
         np.testing.assert_array_equal(drift_sample(p, t), walk[idx])
+
+
+@pytest.mark.parametrize("time_step, t", [
+    (1e-300, 10.0),  # 1e301 steps
+    (1e-300, 1e308),  # the quotient overflows to inf
+    (1.0, 1e19),  # past the int64 range
+])
+def test_drift_step_index_past_int_range_is_rejected(monkeypatch, time_step, t):
+    def no_walk(*args):
+        raise AssertionError("the walk must not start")
+
+    monkeypatch.setattr(fiber_module, "_step_pairs", no_walk)
+    with pytest.raises(ValueError, match="does not fit in an int"):
+        drift_operators(DriftProcess(time_step=time_step), [0.0, t], "single")
 
 
 def test_drift_stays_unitary():

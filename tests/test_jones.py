@@ -17,6 +17,7 @@ from biphoton import (
     retarder,
     rotator,
     round_trip,
+    unitarity_residual,
 )
 from biphoton.jones import ATOL_COMPOSED
 
@@ -195,6 +196,94 @@ def test_round_trip_of_any_unitary_stack_is_mirror_times_det(seed, n):
     stack = np.stack([random_unitary(rng) for _ in range(n)])
     expected = np.linalg.det(stack)[:, None, None] * faraday_mirror()
     assert np.max(np.abs(round_trip(stack) - expected)) <= ATOL_COMPOSED
+
+
+# Oracles: the stacked matrix products that round_trip and the unitarity
+# check are written out from, entry by entry.
+def product_round_trip(u):
+    return backward(u) @ faraday_mirror() @ u
+
+
+def gram_residuals(u):
+    u = np.asarray(u, dtype=complex)
+    return np.abs(np.swapaxes(u, -1, -2).conj() @ u - np.eye(2))
+
+
+def gram_is_unitary(u, atol=ATOL_COMPOSED):
+    u = np.asarray(u, dtype=complex)
+    if u.shape[-2:] != (2, 2) or not np.all(np.isfinite(u)):
+        return False
+    return bool(np.all(gram_residuals(u) <= atol))
+
+
+def haar_stack(rng, shape):
+    n = int(np.prod(shape))
+    return np.stack([random_unitary(rng) for _ in range(n)]).reshape(*shape, 2, 2)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+def test_round_trip_matches_matrix_product(rng, shape):
+    u = haar_stack(rng, shape)
+    # U(2), not SU(2): the determinant phase must come through
+    assert np.all(np.abs(np.linalg.det(u) - 1.0) > 1e-3)
+    out = round_trip(u)
+    assert out.shape == u.shape
+    assert np.max(np.abs(out - product_round_trip(u))) <= 1e-15
+
+
+def test_is_unitary_matches_gram_oracle(rng):
+    u = haar_stack(rng, (6,))
+    one_off = u.copy()
+    one_off[4] *= 1.0 + 2.0 * ATOL_COMPOSED
+    # unit columns that are not quite orthogonal: only the off-diagonal Gram entry is off
+    eps = 2.0 * ATOL_COMPOSED
+    skewed = u @ np.array([[1.0, eps], [0.0, np.sqrt(1.0 - eps**2)]])
+    cases = [
+        (u, True),
+        (u[2], True),
+        (np.swapaxes(u, -1, -2), True),  # a view whose last axis is not contiguous
+        (u * (1.0 + 0.25 * ATOL_COMPOSED), True),
+        (u * (1.0 - 0.25 * ATOL_COMPOSED), True),
+        (u * (1.0 + 2.0 * ATOL_COMPOSED), False),
+        (u * (1.0 - 2.0 * ATOL_COMPOSED), False),
+        (u[3] * (1.0 - 2.0 * ATOL_COMPOSED), False),
+        (one_off, False),
+        (skewed, False),
+        (np.array([[1.0, 1.0], [0.0, 0.0]]), False),
+        (np.zeros((0, 2, 2)), True),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), False),
+        (np.where(np.arange(4).reshape(2, 2) == 1, np.inf, u[0]), False),
+        (np.array([[1.0, 0.0], [0.0, complex(1.0, np.inf)]]), False),
+        (np.eye(3), False),
+        (np.ones(2), False),
+        (np.eye(2)[:, :1], False),
+        (np.array(1.0), False),
+    ]
+    for matrix, expected in cases:
+        assert gram_is_unitary(matrix) is expected
+        assert is_unitary(matrix) is expected
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_unitarity_residual_matches_gram_oracle(rng, shape):
+    # non-unitary (Ginibre) matrices: the residual is the worst Gram entry
+    z = rng.normal(size=(*shape, 2, 2)) + 1j * rng.normal(size=(*shape, 2, 2))
+    worst = float(np.max(gram_residuals(z)))
+    assert unitarity_residual(z) == pytest.approx(worst, rel=1e-14)
+    # unitary ones: rounding only, the same as the oracle's
+    u = haar_stack(rng, shape)
+    assert abs(unitarity_residual(u) - float(np.max(gram_residuals(u)))) <= 1e-15
+    assert unitarity_residual(u) <= 1e-14
+
+
+def test_unitarity_residual_of_exact_and_bad_inputs():
+    assert unitarity_residual(np.eye(2)) == 0.0
+    assert unitarity_residual(faraday_mirror()) == 0.0
+    assert unitarity_residual(np.zeros((0, 2, 2))) == 0.0
+    assert unitarity_residual(2.0 * np.eye(2)) == 3.0
+    assert unitarity_residual(np.array([[1.0, 1.0], [0.0, 0.0]])) == 1.0
+    for bad in (np.eye(3), np.ones(2), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        assert unitarity_residual(bad) == np.inf
 
 
 def test_phase_aligned_distance_quotients_global_phase(rng):
