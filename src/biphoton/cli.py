@@ -328,7 +328,30 @@ def _out_dir(cfg: ScenarioConfig) -> Path:
     return d
 
 
+# Work bounds of one run, checked before anything is allocated.  Measured
+# tracemalloc peaks: a grid point takes about 121 bytes in g2-curves and 158 in
+# histogram (0.6 in bell-postselect), so 2^22 points cost about 0.6 GiB; a
+# plate-surface row about 104 bytes, so 2^22 rows cost about 0.4 GiB; a
+# histogram channel about 48 bytes (both arms), so 2^22 channels cost 0.2 GiB;
+# a walk step about 120 bytes (its draws, the blocked prefix scan and the
+# operator stack), so 2^22 steps cost about 0.5 GiB; a drift-series row about
+# 240 bytes (operators, round trips and the visibility einsum), so 2^20 rows
+# cost about 0.25 GiB.
+_MAX_GRID_N = 1 << 22
+_MAX_SURFACE_ROWS = 1 << 22
+_MAX_HISTOGRAM_CHANNELS = 1 << 22
+_MAX_DRIFT_STEPS = 1 << 22
+_MAX_DRIFT_ROWS = 1 << 20
+
+
+def _check_work(what: str, amount: float, unit: str, cap: int) -> None:
+    """Exit 2 before a run whose ``amount`` of work is more than ``cap``."""
+    if amount > cap:
+        raise CliConfigError(f"{what} = {amount:.3g} {unit}, more than {cap}")
+
+
 def _plate_state(cfg: ScenarioConfig):
+    _check_work("grid.n", cfg.grid.n, "grid points", _MAX_GRID_N)
     state = pdc_state(cfg.crystal, cfg.grid)
     return apply_local(state, retarder(cfg.plate.delta, cfg.plate.alpha))
 
@@ -372,6 +395,8 @@ def scenario_plate_surface(cfg: ScenarioConfig) -> list[Path]:
     n_a = int(cfg["surface.n_alpha"])
     n_t = int(cfg["surface.n_tau"])
     lobes = int(cfg["surface.tau_half_range_lobes"])
+    _check_work("surface.n_delta * surface.n_alpha * surface.n_tau", n_d * n_a * n_t, "rows",
+                _MAX_SURFACE_ROWS)
     deltas = np.linspace(0.0, np.pi, n_d)
     alphas = np.linspace(0.0, np.pi / 2.0, n_a, endpoint=False)
     taus = np.linspace(-lobes * np.pi, lobes * np.pi, n_t) * scale
@@ -427,23 +452,13 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
     return [path]
 
 
-# Work bounds of one drift-series run, checked before anything is allocated.
-# Measured tracemalloc peaks: a walk step takes about 120 bytes (its draws,
-# the blocked prefix scan and the operator stack), so 2^22 steps cost about
-# 0.5 GiB; a sample row about 240 bytes (operators, round trips and the
-# visibility einsum), so 2^20 rows cost about 0.25 GiB.
-_MAX_DRIFT_STEPS = 1 << 22
-_MAX_DRIFT_ROWS = 1 << 20
-
-
 def scenario_drift_series(cfg: ScenarioConfig) -> list[Path]:
     duration = float(cfg["drift_series.duration_s"])
     interval = float(cfg["drift_series.sample_interval_s"])
-    for name, count, cap in (("drift.time_step_s", "walk steps", _MAX_DRIFT_STEPS),
-                             ("drift_series.sample_interval_s", "rows", _MAX_DRIFT_ROWS)):
-        if (ratio := duration / float(cfg[name])) > cap:
-            raise CliConfigError(f"drift_series.duration_s / {name} = {ratio:.3g} {count}, "
-                                 f"more than {cap}")
+    _check_work("drift_series.duration_s / drift.time_step_s",
+                duration / float(cfg["drift.time_step_s"]), "walk steps", _MAX_DRIFT_STEPS)
+    _check_work("drift_series.duration_s / drift_series.sample_interval_s", duration / interval,
+                "rows", _MAX_DRIFT_ROWS)
     times = np.arange(0.0, duration + interval / 2.0, interval)
     # One walk serves both layouts: the round trips are built from the one-way operators.
     u = drift_operators(cfg.fiber.drift, times, "single")
@@ -470,6 +485,8 @@ def scenario_drift_series(cfg: ScenarioConfig) -> list[Path]:
 
 def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
     _require_dispersion(cfg)
+    _check_work("histogram.n_channels", int(cfg["histogram.n_channels"]), "channels",
+                _MAX_HISTOGRAM_CHANNELS)
     plus, minus = _numeric_curves(cfg)
     pair_transmittance = transmittance(cfg.fiber) ** 2
     common = dict(

@@ -7,10 +7,13 @@ env e^{i Omega tau0} and VH the row env e^{-i Omega tau0}, env = sinc(Omega tau0
 An element u in both paths acts as kron(u, u) on a 4x2 polarization block, so
 the state stays that block times the two rows (Schmidt rank at most 2); the
 rows are evaluated in closed form where read, their 2x2 Gram matrix gives the norm.
+For the sinc that matrix needs no np.sin over the grid: one sin/cos table of a
+block's offsets and the angle-addition rule give sin(k dOmega tau0) block by block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Literal
 
@@ -21,6 +24,28 @@ from .errors import ConfigurationError, DegenerateInputError
 _C_LIGHT = 299792458.0
 # Samples per block of the Gram pass in pdc_state: temporaries stay in cache.
 _BLOCK = 1 << 14
+
+
+def _sinc_sums(m: int, step: float) -> tuple[float, float]:
+    """Sum sinc^2(k step) and sinc^2(k step) sin^2(k step) over k = -m..m.
+
+    The k > 0 half is summed in blocks of ``_BLOCK`` from one table of
+    sin(j step) and cos(j step), j < _BLOCK: a block starting at k = b takes
+    sin((b + j) step) = sin(b step) cos(j step) + cos(b step) sin(j step), with
+    sin(b step) and cos(b step) computed afresh, so no error carries between
+    blocks; the block sums are added exactly (fsum), so neither does rounding.
+    """
+    offsets = np.arange(min(_BLOCK, m)) * step
+    sin_j, cos_j = np.sin(offsets), np.cos(offsets)
+    sums = []
+    for b in range(1, m + 1, _BLOCK):
+        size = min(_BLOCK, m + 1 - b)
+        s2 = np.square(math.sin(b * step) * cos_j[:size] + math.cos(b * step) * sin_j[:size])
+        w = s2 / np.square(np.arange(b, b + size, dtype=float))  # sinc^2 times step^2
+        sums.append((w.sum(), w @ s2))
+    sinc2, sinc2_sin2 = (math.fsum(column) / step**2 for column in zip(*sums))
+    # k = 0 (sinc 1, sine 0) counts once; the k < 0 half mirrors k > 0
+    return 1.0 + 2.0 * sinc2, 2.0 * sinc2_sin2
 
 
 @dataclass(frozen=True)
@@ -127,9 +152,11 @@ def pdc_state(
     HV and VH carry env e^{+-i Omega tau0}; HH and VV vanish.  The default
     envelope is sinc(Omega tau0); a ``spectral_amplitude`` replaces it and is
     called on the detunings of each run of samples evaluated.  The Gram matrix
-    is one real pass in blocks of ``_BLOCK``: sum |env|^2 and sum |env|^2
-    e^{-2i Omega tau0}, with cos 2x = 1 - 2 sin^2 x; for the sinc it covers the
-    Omega >= 0 half, the grid being exactly antisymmetric about Omega = 0.
+    needs sum |env|^2 and sum |env|^2 e^{-2i Omega tau0}, with cos 2x = 1 - 2 sin^2 x.
+    For the sinc, ``_sinc_sums`` takes them from the Omega > 0 half alone (the
+    grid is exactly antisymmetric about Omega = 0), with one sin/cos table per
+    call and the angle-addition rule in place of np.sin per sample.  A user
+    envelope gets one real pass over the whole grid in blocks of ``_BLOCK``.
     """
     tau0 = crystal.tau0
     if grid.omega_max * tau0 < np.pi:
@@ -152,15 +179,16 @@ def pdc_state(
             raise ValueError("spectral_amplitude must return one value per grid point")
         return theta, sin, env
 
-    half = spectral_amplitude is None  # the sinc is real and even
-    sums = np.zeros(3)  # sum |env|^2, sum |env|^2 sin^2, sum |env|^2 sin cos
-    for start in range(z if half else 0, grid.n_used, _BLOCK):
-        theta, sin, env = envelope(start, min(start + _BLOCK, grid.n_used))
-        weight = np.abs(env) ** 2
-        weighted = weight * sin
-        sums += weight.sum(), weighted @ sin, 0.0 if half else weighted @ np.cos(theta)
-    # the sinc's half mirrors Omega > 0; Omega = 0 (envelope 1, sine 0) counts once
-    total, sin2, sincos = 2.0 * sums - (1.0, 0.0, 0.0) if half else sums
+    if spectral_amplitude is None:  # the sinc is real and even; the grid is k = -z..z
+        (total, sin2), sincos = _sinc_sums(z, grid.domega * tau0), 0.0
+    else:
+        sums = np.zeros(3)  # sum |env|^2, sum |env|^2 sin^2, sum |env|^2 sin cos
+        for start in range(0, grid.n_used, _BLOCK):
+            theta, sin, env = envelope(start, min(start + _BLOCK, grid.n_used))
+            weight = np.abs(env) ** 2
+            weighted = weight * sin
+            sums += weight.sum(), weighted @ sin, weighted @ np.cos(theta)
+        total, sin2, sincos = sums
     if total == 0.0:
         raise DegenerateInputError("spectral amplitude is identically zero")
     cross = complex(total - 2.0 * sin2, -2.0 * sincos)  # sum |env|^2 e^{-2i Omega tau0}

@@ -191,6 +191,54 @@ def test_drift_series_too_many_rows_is_config_error(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "out").exists()
 
 
+def fail(*args, **kwargs):
+    raise AssertionError("the guard must stop the run before this call")
+
+
+@pytest.mark.parametrize("scenario", ["bell-postselect", "g2-curves", "histogram"])
+@pytest.mark.parametrize("n", [2**50, 2**65])
+def test_huge_grid_is_config_error(tmp_path, monkeypatch, capsys, scenario, n):
+    # 2^50 points ran until killed: the Gram pass had 2^35 blocks to go
+    monkeypatch.setattr(cli, "pdc_state", fail)
+    start = time.perf_counter()
+    assert run(tmp_path, scenario, f"--grid.n={n}") == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "grid.n" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_allowed_grid_reaches_the_state(tmp_path, monkeypatch, capsys):
+    def reached(*args, **kwargs):
+        raise RuntimeError("pdc_state reached")
+
+    monkeypatch.setattr(cli, "pdc_state", reached)
+    assert run(tmp_path, "bell-postselect", f"--grid.n={cli._MAX_GRID_N}") == 3
+    assert "pdc_state reached" in capsys.readouterr().err
+
+
+def test_huge_plate_surface_is_config_error(tmp_path, monkeypatch, capsys):
+    # 8e9 rows: the lattice alone would ask np.meshgrid for 180 GiB
+    monkeypatch.setattr(cli.np, "meshgrid", fail)
+    monkeypatch.setattr(cli, "g2_analytic", fail)
+    overrides = ("--surface.n_delta=2000", "--surface.n_alpha=2000", "--surface.n_tau=2000")
+    assert run(tmp_path, "plate-surface", *overrides) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert all(f"surface.{key}" in err for key in ("n_delta", "n_alpha", "n_tau"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_too_many_histogram_channels_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "pdc_state", fail)
+    monkeypatch.setattr(cli, "simulate_histogram", fail)
+    channels = cli._MAX_HISTOGRAM_CHANNELS + 1
+    assert run(tmp_path, "histogram", f"--histogram.n_channels={channels}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "histogram.n_channels" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_config_problem_exits_2(tmp_path, capsys):
     assert run(tmp_path, "g2-curves", "--fiber.k2_s2_per_m=0") == 2
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Two-photon spectral state: construction, local operations, overlaps."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,8 @@ from biphoton import (
     retarder,
     round_trip,
 )
-from biphoton.state import _both_photons
+from biphoton import state as state_module
+from biphoton.state import _both_photons, _sinc_sums
 
 C_LIGHT = 299792458.0
 
@@ -143,10 +145,63 @@ def test_norm_and_gram_are_exact_on_a_fine_grid(crystal, custom):
     np.testing.assert_allclose(st.gram, rows.conj() @ rows.T * grid.domega, rtol=0, atol=2e-15)
 
 
+def sinc_sums_by_fsum(m, step):
+    """Sum sinc^2 and sinc^2 sin^2 of k step over k = -m..m, from np.sin(k step) / (k step)."""
+    theta = np.arange(1, m + 1) * step
+    sin = np.sin(theta)
+    sinc2 = np.square(sin / theta)
+    return 1.0 + 2.0 * math.fsum(sinc2), 2.0 * math.fsum(sinc2 * np.square(sin))
+
+
+# m = n/2 - 1 at n = 256 (less than one block), at no power of two (a partial
+# last block, with three full ones before it) and at n = 2^21; the step is the
+# grid's, omega_max = 8 pi / tau0
+SINC_SIZES = [(127, 16.0 * np.pi / 254), (3 * 2**14 + 1234, 16.0 * np.pi / 100772),
+              (2**20 - 1, 16.0 * np.pi / (2**21 - 2))]
+
+
+# blocks of 7 at 2^21 would be 150,000 Python-level blocks; the smaller sizes cover them
+@pytest.mark.parametrize("m, step, block", [(m, step, block) for m, step in SINC_SIZES
+                                            for block in (None, 7, 2**16)
+                                            if not (block == 7 and m > 2**16)])
+def test_sinc_sums_match_fsum_of_closed_form(monkeypatch, m, step, block):
+    if block is not None:
+        monkeypatch.setattr(state_module, "_BLOCK", block)
+    got = _sinc_sums(m, step)
+    for value, want in zip(got, sinc_sums_by_fsum(m, step)):
+        assert value == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
 def lorentz_shifted(tau0):
     # complex, its modulus not even in Omega and not small at the grid ends,
     # so the Gram matrix has a complex off-diagonal and every sample counts
     return lambda omega: (1.0 + 0.5j * omega * tau0) / (1.0 + (omega * tau0 - 1.0) ** 2)
+
+
+def gram_by_full_grid_loop(crystal, grid, spectral_amplitude):
+    """The Gram matrix by the full-grid pass a user envelope gets, kept as its reference."""
+    z = grid.zero_index
+    sums = np.zeros(3)
+    for start in range(0, grid.n_used, 1 << 14):
+        omegas = np.arange(start - z, min(start + (1 << 14), grid.n_used) - z) * grid.domega
+        theta = omegas * crystal.tau0
+        sin = np.sin(theta)
+        env = np.asarray(spectral_amplitude(omegas), dtype=complex)
+        weight = np.abs(env) ** 2
+        weighted = weight * sin
+        sums += weight.sum(), weighted @ sin, weighted @ np.cos(theta)
+    total, sin2, sincos = sums
+    cross = complex(total - 2.0 * sin2, -2.0 * sincos)
+    return np.array([[total, cross], [cross.conjugate(), total]]) / (2.0 * total)
+
+
+@pytest.mark.parametrize("n", [512, 2**16])
+@pytest.mark.parametrize("shape", [chirped_gauss, lorentz_shifted])
+def test_user_envelope_gram_is_the_full_grid_loop_bit_for_bit(crystal, n, shape):
+    grid = FrequencyGrid(n=n, omega_max=8.0 * np.pi / crystal.tau0)
+    envelope = shape(crystal.tau0)
+    got = pdc_state(crystal, grid, spectral_amplitude=envelope).gram
+    assert np.array_equal(got, gram_by_full_grid_loop(crystal, grid, envelope))
 
 
 @pytest.mark.parametrize("shape", [None, chirped_gauss, lorentz_shifted])
