@@ -329,14 +329,15 @@ def _out_dir(cfg: ScenarioConfig) -> Path:
 
 
 # Work bounds of one run, checked before anything is allocated.  Measured
-# tracemalloc peaks: a grid point takes about 121 bytes in g2-curves and 158 in
-# histogram (0.6 in bell-postselect), so 2^22 points cost about 0.6 GiB; a
-# plate-surface row about 104 bytes, so 2^22 rows cost about 0.4 GiB; a
-# histogram channel about 48 bytes (both arms), so 2^22 channels cost 0.2 GiB;
-# a walk step about 120 bytes (its draws, the blocked prefix scan and the
-# operator stack), so 2^22 steps cost about 0.5 GiB; a drift-series row about
-# 240 bytes (operators, round trips and the visibility einsum), so 2^20 rows
-# cost about 0.25 GiB.
+# tracemalloc peaks: a grid point takes about 121 bytes in g2-curves and 122 in
+# histogram at 2^16 points (0.6 in bell-postselect), so 2^22 points cost about
+# 0.5 GiB; the histogram's channel-law temporaries, about 3 MiB at any size,
+# are set by coincidence._CHUNK.  A plate-surface row takes about 104 bytes, so
+# 2^22 rows cost about 0.4 GiB; a histogram channel about 56 bytes (both
+# arms), so 2^22 channels cost 0.22 GiB; a walk step about 120 bytes (its
+# draws, the blocked prefix scan and the operator stack), so 2^22 steps cost
+# about 0.5 GiB; a drift-series row about 240 bytes (operators, round trips
+# and the visibility einsum), so 2^20 rows cost about 0.25 GiB.
 _MAX_GRID_N = 1 << 22
 _MAX_SURFACE_ROWS = 1 << 22
 _MAX_HISTOGRAM_CHANNELS = 1 << 22

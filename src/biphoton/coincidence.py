@@ -8,6 +8,8 @@ time-to-amplitude converter with a fixed start detector records them.
 Nothing depends on event order (no converter dead time, one pair per start),
 so the histogram is an independent Poisson count per channel: one draw per
 bin from the seed's histogram substream, whatever the acquisition time.
+Each bin's share is a closed form in erf, evaluated on whole numpy arrays by
+W. J. Cody's rational approximations (``_erf``), with no Python call per term.
 """
 
 from __future__ import annotations
@@ -24,11 +26,67 @@ from .fiber import _STREAM_HISTOGRAM, DriftProcess, drift_operators
 from .jones import analyzer_vector
 from .state import BellTarget
 
-# Terms of the channel law evaluated at once: caps memory, never changes a result.
-_CHUNK = 1 << 16
+# Terms of the channel law evaluated at once: caps memory (and keeps the
+# temporaries in cache), never changes a result.
+_CHUNK = 1 << 14
 # Beyond this many sigmas the normal CDF is 0 or 1 in double precision.
 _REACH = 9.0
-_erf = np.frompyfunc(math.erf, 1, 1)
+
+# W. J. Cody's rational Chebyshev approximations to erf and erfc (Math. Comp.
+# 23, 631 (1969); the coefficients of SPECFUN's CALERF), highest degree first.
+# erf(x) = x A(x^2)/B(x^2) for |x| <= 0.46875; erfc(y) = exp(-y^2) C(y)/D(y)
+# for y <= 4 and exp(-y^2) (1/sqrt(pi) - t P(t)/Q(t)) / y with t = 1/y^2 above.
+_A = (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+      3.77485237685302021e02, 3.20937758913846947e03)
+_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+      2.84423683343917062e03)
+_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+      6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+      1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03)
+_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+      1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+      3.43936767414372164e03, 1.23033935480374942e03)
+_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+      1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
+_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+      6.05183413124413191e-2, 2.33520497626869185e-3)
+
+
+def _rational(t: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
+    """p(t) / q(t) by Horner's rule; q is monic and one degree below p's length."""
+    num = p[0] * t + p[1]
+    den = t + q[0]
+    for a, b in zip(p[2:], q[1:]):
+        num *= t
+        num += a
+        den *= t
+        den += b
+    return num / den
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Elementwise erf of a float array by Cody's three ranges, within 5 ulp.
+
+    Each range is evaluated on the whole array, its input clipped into the
+    range so that nothing overflows, and the result selected: faster than
+    indexing each range.  exp(-y^2) is split at y rounded down to 1/16, an
+    exact square.  1 - erfc is rounded once, not twice as in Cody's
+    (1/2 - erfc) + 1/2, so erf agrees with math.erf to the bit beyond |x| = 4
+    and at 99.9 % of points in [2, 4]: the channel law's far tails, whose
+    exact zeros decide how many uniforms the Poisson draws take, come out as
+    they do with math.erf.
+    """
+    ax = np.abs(x)
+    xs = np.clip(x, -0.46875, 0.46875)
+    small = xs * _rational(xs * xs, _A, _B)
+    y = np.minimum(ax, 6.0)
+    yl = np.maximum(y, 4.0)
+    t = 1.0 / (yl * yl)
+    far = (1.0 / math.sqrt(math.pi) - t * _rational(t, _P, _Q)) / yl
+    r = np.where(y <= 4.0, _rational(y, _C, _D), far)
+    y16 = np.trunc(16.0 * y) / 16.0
+    erfc = np.exp(-y16 * y16) * np.exp(-(y - y16) * (y + y16)) * r
+    return np.where(ax <= 0.46875, small, np.copysign(1.0 - erfc, x))
 
 
 @dataclass(frozen=True)
@@ -127,11 +185,15 @@ def _cell_width(tau_grid: np.ndarray) -> float:
 
 
 def _psi(y: np.ndarray, s: float) -> np.ndarray:
-    """Integral of the N(0, s^2) CDF up to y: y Phi(y/s) + s phi(y/s), max(y, 0) at s = 0."""
+    """Integral of the N(0, s^2) CDF up to y: y Phi(y/s) + s phi(y/s), max(y, 0) at s = 0.
+
+    Phi comes from the array erf ``_erf``; terms with |y| >= _REACH s take
+    max(y, 0) exactly, so a cell out of reach adds exactly 0 or its weight.
+    """
     out = np.maximum(y, 0.0)
     near = np.abs(y) < _REACH * s
     z = y[near] / s
-    cdf = 0.5 + 0.5 * _erf(z / math.sqrt(2.0)).astype(float)
+    cdf = 0.5 + 0.5 * _erf(z / math.sqrt(2.0))
     out[near] = y[near] * cdf + s * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     return out
 

@@ -4,9 +4,9 @@ Every file this package writes is self-describing: the header carries the
 fully resolved parameters that produced the data, one ``# key = value`` line
 each.  Floats are written with repr so identical runs produce identical
 bytes.  Rows are written in fixed blocks, each formatted column by column
-(float cells once per distinct bit pattern in the block), so neither the
-cell texts nor the rows of a whole file are ever held at once; the bytes do
-not depend on the block size.
+(float cells once per distinct bit pattern in the block, integer cells by
+``str`` of their Python ints), so neither the cell texts nor the rows of a
+whole file are ever held at once; the bytes do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ def _column_text(a: np.ndarray) -> Iterable[str]:
         unique, inverse = np.unique(a.astype(np.float64).view(np.uint64), return_inverse=True)
         text = np.array([repr(v) for v in unique.view(np.float64).tolist()], dtype=object)
         return text[inverse].tolist()
-    # Python bools and ints format as their numpy scalars do, only faster.
+    # Python ints and bools format as their numpy scalars do, only faster.
     # Lazily, so that no text per cell is held for the whole block.
-    return map(format_value, a.tolist() if a.ndim == 1 and a.dtype.kind in "biu" else a)
+    if a.ndim == 1 and a.dtype.kind in "iu":
+        return map(str, a.tolist())
+    return map(format_value, a.tolist() if a.ndim == 1 and a.dtype.kind == "b" else a)
 
 
 def write_csv(

@@ -1,10 +1,13 @@
 """Monte Carlo coincidence counting against analytic distributions."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter1d
+from scipy.special import erf as scipy_erf
 from scipy.stats import chi2, norm, poisson
 
 from biphoton import (
@@ -17,6 +20,7 @@ from biphoton import (
     DriftProcess,
     EmptyWindowError,
     FiberChannel,
+    FrequencyGrid,
     PostSelectionWindow,
     analyzer_vector,
     channel_operator,
@@ -24,10 +28,12 @@ from biphoton import (
     drift_timeseries,
     estimate_visibility,
     g2_analytic,
+    g2_numeric,
+    pdc_state,
     simulate_histogram,
 )
 from biphoton import coincidence
-from biphoton.coincidence import _smeared_cdf
+from biphoton.coincidence import _erf, _smeared_cdf
 from biphoton.csvio import read_csv
 
 TAU_F = 6.912e-10
@@ -128,6 +134,82 @@ def test_smeared_cdf_does_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(coincidence, "_CHUNK", 7)
     b = _smeared_cdf(x, tau, curve.g2, tau[1] - tau[0], TAU_F / 20)
     np.testing.assert_array_equal(a, b)
+
+
+def erf_points():
+    """Dense across both range limits of Cody's erf, out to |x| = 7, plus the extremes."""
+    rng = np.random.default_rng(31)
+    ulps = np.arange(-2000, 2001)
+    near = [np.linspace(c - 1e-3, c + 1e-3, 20001) for c in (0.46875, 4.0)]
+    near += [c + ulps * np.spacing(c) for c in (0.46875, 4.0)]
+    special = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-17,
+               1e10, 1e154, 1e200, 1.7976931348623157e308, np.inf]
+    x = np.concatenate(near + [np.linspace(0.0, 7.0, 140001), rng.uniform(0.0, 7.0, 100000),
+                               special])
+    return np.concatenate([x, -x])
+
+
+def test_erf_matches_math_and_scipy():
+    x = erf_points()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _erf(x)
+    # _erf is within 4 ulp of mpmath's erf and the two oracles differ from
+    # each other by up to 3 ulp; the largest difference seen here is 5 ulp,
+    # just above |x| = 0.46875, where erf comes from 1 - erfc.
+    for oracle in (np.array([math.erf(v) for v in x]), scipy_erf(x)):
+        ulp = np.abs(got - oracle) / np.spacing(np.abs(oracle))
+        assert np.max(ulp) <= 8, x[np.argmax(ulp)]
+    assert np.array_equal(np.signbit(got), np.signbit(x))
+    assert np.array_equal(_erf(np.array([np.inf, -np.inf, 1e300, -1e300])), [1.0, -1.0, 1.0, -1.0])
+
+
+def test_erf_is_exact_in_the_tails():
+    # 1 - erfc rounded once gives erf to the bit beyond |x| = 4, as both
+    # oracles do: the channel law's far tails, whose exact zeros decide how
+    # many uniforms the Poisson draws take, then match the math.erf route.
+    x = np.linspace(4.0, 6.5, 200001)
+    x = np.concatenate([x, -x])
+    got = _erf(x)
+    np.testing.assert_array_equal(got, [math.erf(v) for v in x])
+    np.testing.assert_array_equal(got, scipy_erf(x))
+
+
+def test_erf_is_elementwise():
+    x = erf_points()
+    whole = _erf(x).view(np.uint64)
+    perm = np.random.default_rng(5).permutation(len(x))
+    np.testing.assert_array_equal(_erf(x[perm]).view(np.uint64), whole[perm])
+    for step, chunk in ((1, 4096), (101, 7), (997, 1)):
+        sample = x[::step]
+        parts = [_erf(sample[i:i + chunk]) for i in range(0, len(sample), chunk)]
+        np.testing.assert_array_equal(np.concatenate(parts).view(np.uint64), whole[::step])
+
+
+def psi_math_erf(y, s):
+    """The channel law's Psi by one math.erf call per term (the former route)."""
+    out = np.maximum(y, 0.0)
+    near = np.abs(y) < coincidence._REACH * s
+    z = y[near] / s
+    cdf = 0.5 + 0.5 * np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2.0)).astype(float)
+    out[near] = y[near] * cdf + s * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return out
+
+
+@pytest.mark.parametrize("n", [512, 1 << 16])
+def test_smeared_cdf_matches_math_erf_route(monkeypatch, crystal, fiber, n):
+    # The histogram scenario's geometry: the far-field g2 of the default
+    # state, 4,096 channels of tau_f / 20 and 1e-10 s jitter per detector.
+    grid = FrequencyGrid(n=n, omega_max=8.0 * np.pi / crystal.tau0)
+    curve = g2_numeric(pdc_state(crystal, grid), fiber, PLUS_PLUS, mode="far_field")
+    tau = curve.tau_grid
+    edges = (np.arange(4097) - 2048 - 0.5) * (TAU_F / 20)
+    args = (edges, tau, curve.g2, tau[1] - tau[0], math.sqrt(2.0) * 1e-10)
+    got = _smeared_cdf(*args)
+    monkeypatch.setattr(coincidence, "_psi", psi_math_erf)
+    expected = _smeared_cdf(*args)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+    assert got[0] == 0.0 and got[-1] == 1.0
 
 
 def test_histogram_is_deterministic():
