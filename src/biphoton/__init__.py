@@ -37,9 +37,7 @@ from .errors import (
 from .fiber import (
     DriftProcess,
     FiberChannel,
-    channel_operator,
     drift_operators,
-    drift_sample,
     drift_walk,
     required_grid_n,
     tau_f,
@@ -51,8 +49,6 @@ from .jones import (
     backward,
     faraday_mirror,
     is_unitary,
-    jones_vector,
-    phase_aligned_distance,
     random_unitary,
     retarder,
     rotator,
@@ -60,7 +56,8 @@ from .jones import (
     unitarity_residual,
 )
 from .state import (
-    BellTarget,
+    PSI_MINUS,
+    PSI_PLUS,
     BiphotonState,
     CrystalParams,
     FrequencyGrid,
@@ -73,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyzerConfig",
-    "BellTarget",
     "BiphotonState",
     "ConfigurationError",
     "CorrelationResult",
@@ -87,6 +83,8 @@ __all__ = [
     "Histogram",
     "PLUS_MINUS",
     "PLUS_PLUS",
+    "PSI_MINUS",
+    "PSI_PLUS",
     "PostSelectionResult",
     "PostSelectionWindow",
     "PreconditionError",
@@ -95,10 +93,8 @@ __all__ = [
     "analyzer_vector",
     "apply_local",
     "backward",
-    "channel_operator",
     "channel_visibility",
     "drift_operators",
-    "drift_sample",
     "drift_timeseries",
     "drift_walk",
     "estimate_visibility",
@@ -106,9 +102,7 @@ __all__ = [
     "g2_analytic",
     "g2_numeric",
     "is_unitary",
-    "jones_vector",
     "pdc_state",
-    "phase_aligned_distance",
     "polarization_overlap",
     "postselect",
     "random_unitary",

@@ -319,6 +319,12 @@ def _require_dispersion(cfg: ScenarioConfig) -> float:
     scale = tau_f(cfg.fiber, cfg.crystal)
     if scale <= 0.0:
         raise CliConfigError("fiber.k2_s2_per_m must be nonzero (and positive) for this scenario")
+    edge = 2.0 * cfg.fiber.k2 * cfg.fiber.z * cfg.grid.omega_max
+    if not np.isfinite(edge):  # the edge is at least pi * tau_f, so it overflows first
+        raise CliConfigError(
+            f"fiber.k2_s2_per_m * fiber.geometric_length_m overflows the tau axis: "
+            f"tau_f = {scale:.3g} s, grid edge 2 k2 z omega_max = {edge:.3g} s"
+        )
     return scale
 
 
@@ -343,11 +349,15 @@ _MAX_SURFACE_ROWS = 1 << 22
 _MAX_HISTOGRAM_CHANNELS = 1 << 22
 _MAX_DRIFT_STEPS = 1 << 22
 _MAX_DRIFT_ROWS = 1 << 20
+# Expected pair and background totals of one histogram arm, each: numpy's
+# Poisson sampler rejects a mean near 2^63, and channel counts and window sums
+# add pairs to background in int64, so two totals of 2^61 stay far below 2^63.
+_MAX_POISSON_TOTAL = 1 << 61
 
 
 def _check_work(what: str, amount: float, unit: str, cap: int) -> None:
-    """Exit 2 before a run whose ``amount`` of work is more than ``cap``."""
-    if amount > cap:
+    """Exit 2 before a run whose ``amount`` of work is more than ``cap`` (or nan)."""
+    if not amount <= cap:
         raise CliConfigError(f"{what} = {amount:.3g} {unit}, more than {cap}")
 
 
@@ -486,16 +496,24 @@ def scenario_drift_series(cfg: ScenarioConfig) -> list[Path]:
 
 def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
     _require_dispersion(cfg)
-    _check_work("histogram.n_channels", int(cfg["histogram.n_channels"]), "channels",
-                _MAX_HISTOGRAM_CHANNELS)
-    plus, minus = _numeric_curves(cfg)
+    n_channels = int(cfg["histogram.n_channels"])
+    _check_work("histogram.n_channels", n_channels, "channels", _MAX_HISTOGRAM_CHANNELS)
+    det = cfg.detectors
+    pair_rate = float(cfg["histogram.pair_rate_hz"])
+    acquisition = float(cfg["histogram.acquisition_time_s"])
     pair_transmittance = transmittance(cfg.fiber) ** 2
+    _check_work("expected pair total from histogram.pair_rate_hz",
+                pair_rate * acquisition * pair_transmittance
+                * det.efficiency_1 * det.efficiency_2 / 2.0, "pairs", _MAX_POISSON_TOTAL)
+    _check_work("expected background total from detector.dark_rate_per_channel_hz",
+                det.dark_background_rate * acquisition * n_channels, "counts", _MAX_POISSON_TOTAL)
+    plus, minus = _numeric_curves(cfg)
     common = dict(
-        detectors=cfg.detectors,
-        pair_rate=float(cfg["histogram.pair_rate_hz"]),
-        acquisition_time=float(cfg["histogram.acquisition_time_s"]),
+        detectors=det,
+        pair_rate=pair_rate,
+        acquisition_time=acquisition,
         channel_width=float(cfg["histogram.channel_width_s"]),
-        n_channels=int(cfg["histogram.n_channels"]),
+        n_channels=n_channels,
         transmittance=pair_transmittance,
     )
     # Arm seeds from SeedSequence([seed, arm]): no arm replays another seed's arm.

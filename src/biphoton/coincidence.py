@@ -24,7 +24,7 @@ from .csvio import write_csv
 from .errors import DegenerateInputError, EmptyWindowError
 from .fiber import _STREAM_HISTOGRAM, DriftProcess, drift_operators
 from .jones import analyzer_vector
-from .state import BellTarget
+from .state import PSI_PLUS
 
 # Terms of the channel law evaluated at once: caps memory (and keeps the
 # temporaries in cache), never changes a result.
@@ -379,8 +379,6 @@ def channel_visibility(ops: np.ndarray) -> np.ndarray:
     # Amplitudes <e_+, e_y| (op x op) |psi+> for the analyzer pairs y = +, -.
     e_p = analyzer_vector(np.pi / 4.0).conj()
     e_y = np.stack([e_p, analyzer_vector(-np.pi / 4.0).conj()])
-    amp = np.einsum(
-        "a,tac,cd,yb,tbd->ty", e_p, ops, BellTarget.psi_plus().amplitude, e_y, ops, optimize=True
-    )
+    amp = np.einsum("a,tac,cd,yb,tbd->ty", e_p, ops, PSI_PLUS, e_y, ops, optimize=True)
     g_plus, g_minus = (np.abs(amp) ** 2).T
     return (g_plus - g_minus) / (g_plus + g_minus)

@@ -22,11 +22,10 @@ from typing import Literal
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import ConfigurationError, DegenerateInputError, EmptyWindowError
 from .fiber import FiberChannel, check_chirp_sampling
 from .jones import RetarderSpec, analyzer_vector
-from .state import BellTarget, BiphotonState, _both_photons, polarization_overlap
+from .state import PSI_MINUS, PSI_PLUS, BiphotonState, _both_photons, polarization_overlap
 
 Normalization = Literal["raw", "peak_unity"]
 
@@ -71,28 +70,6 @@ class CorrelationResult:
             raise ValueError("g2 must be nonnegative")
         if self.normalization not in ("raw", "peak_unity"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
-
-    def peak_normalized(self) -> "CorrelationResult":
-        peak = float(np.max(self.g2))
-        if peak <= 0.0:
-            raise DegenerateInputError("cannot peak-normalize an all-zero curve")
-        return CorrelationResult(
-            tau_grid=self.tau_grid.copy(),
-            g2=self.g2 / peak,
-            analyzer=self.analyzer,
-            normalization="peak_unity",
-        )
-
-    def to_csv(self, path, metadata: dict | None = None) -> None:
-        meta = {
-            "analyzer.theta1_rad": self.analyzer.theta1,
-            "analyzer.theta2_rad": self.analyzer.theta2,
-            "normalization": self.normalization,
-            "n_points": len(self.tau_grid),
-        }
-        if metadata:
-            meta.update(metadata)
-        write_csv(path, {"tau_s": self.tau_grid, "g2": self.g2}, meta)
 
 
 def g2_analytic(
@@ -260,8 +237,8 @@ def postselect(
     if norm < 1e-300:
         raise DegenerateInputError("window average cancels coherently")
     avg = avg / norm
-    fid_plus = abs(polarization_overlap(avg, BellTarget.psi_plus())) ** 2
-    fid_minus = abs(polarization_overlap(avg, BellTarget.psi_minus(state.crystal))) ** 2
+    fid_plus = abs(polarization_overlap(avg, PSI_PLUS)) ** 2
+    fid_minus = abs(polarization_overlap(avg, PSI_MINUS)) ** 2
     return PostSelectionResult(
         amplitude=avg,
         psi_plus_fidelity=float(fid_plus),

@@ -122,11 +122,6 @@ def _su2_mul(a1, b1, a2, b2):
     return a1 * a2 - b1.conjugate() * b2, b1 * a2 + a1.conjugate() * b2
 
 
-def drift_sample(process: DriftProcess, t: float) -> np.ndarray:
-    """Fiber unitary at time t (piecewise constant over walk steps)."""
-    return drift_operators(process, [t], "single")[0]
-
-
 def drift_operators(drift: DriftProcess, times, passes: str) -> np.ndarray:
     """Polarization operators of the channel at each of ``times``, shape (T, 2, 2).
 
@@ -202,11 +197,6 @@ def check_chirp_sampling(fiber: FiberChannel, grid) -> None:
             f"dispersion phase under-sampled (edge step {phase_step:.3g} rad >= pi/4); "
             f"use grid n >= {required_grid_n(fiber, grid.omega_max)}"
         )
-
-
-def channel_operator(fiber: FiberChannel, t: float) -> np.ndarray:
-    """Polarization operator of the channel at time t (see ``drift_operators``)."""
-    return drift_operators(fiber.drift, [t], fiber.passes)[0]
 
 
 def transmittance(fiber: FiberChannel) -> float:

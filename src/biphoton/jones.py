@@ -25,9 +25,7 @@ import numpy as np
 
 from .errors import PreconditionError
 
-# Construction-level checks use ATOL_CONSTRUCT; identities built from several
-# matrix products are held to the looser ATOL_COMPOSED.
-ATOL_CONSTRUCT = 1e-12
+# Identities built from several matrix products are held to ATOL_COMPOSED.
 ATOL_COMPOSED = 1e-10
 
 _SANDWICH_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -38,19 +36,6 @@ def _check_finite(*values) -> None:
     for v in values:
         if not np.all(np.isfinite(v)):
             raise ValueError(f"non-finite angle {v!r}")
-
-
-def jones_vector(h: complex, v: complex, normalized: bool = True) -> np.ndarray:
-    """Column vector (h, v); by default scaled to unit norm."""
-    vec = np.array([h, v], dtype=complex)
-    if not np.all(np.isfinite(vec.view(float))):
-        raise ValueError("non-finite Jones vector component")
-    if normalized:
-        n = np.linalg.norm(vec)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        vec = vec / n
-    return vec
 
 
 def analyzer_vector(theta: float) -> np.ndarray:
@@ -160,23 +145,6 @@ def round_trip(u: np.ndarray) -> np.ndarray:
     out[..., 1, 0] = b * c - d * a
     out[..., 1, 1] = b * d - d * b
     return out
-
-
-def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max entrywise distance between a and b after fitting a global phase.
-
-    The fitted phase maximizes |trace(a^H b)|; arrays of equal shape only.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch")
-    t = np.sum(a.conj() * b)
-    if abs(t) == 0.0:
-        # No phase preferred; any unit scalar gives the same norm.
-        return float(np.max(np.abs(a - b)))
-    c = t / abs(t)
-    return float(np.max(np.abs(c * a - b)))
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:

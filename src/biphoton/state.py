@@ -1,8 +1,8 @@
 """Two-photon polarization/frequency state from type-II down-conversion.
 
-The pump at 2*omega0 produces pairs at omega0 +- Omega with orthogonal
+The pump at 2*omega_d produces pairs at omega_d +- Omega with orthogonal
 polarizations.  The crystal's group-velocity mismatch delays V behind H, so
-photon 1 (omega0 + Omega) in H with photon 2 in V carries the spectral row
+photon 1 (omega_d + Omega) in H with photon 2 in V carries the spectral row
 env e^{i Omega tau0} and VH the row env e^{-i Omega tau0}, env = sinc(Omega tau0).
 An element u in both paths acts as kron(u, u) on a 4x2 polarization block, so
 the state stays that block times the two rows (Schmidt rank at most 2); the
@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
 
-_C_LIGHT = 299792458.0
 # Samples per block of the Gram pass in pdc_state: temporaries stay in cache.
 _BLOCK = 1 << 14
 
@@ -68,15 +67,6 @@ class CrystalParams:
         if not 0.0 < self.tau0 < np.inf:
             raise ConfigurationError(f"tau0 = gvm * length / 2 must be finite and > 0, got "
                                      f"{self.tau0!r} from gvm={self.gvm!r}, length={self.length!r}")
-
-    @property
-    def degenerate_wavelength(self) -> float:
-        return 2.0 * self.pump_wavelength
-
-    @property
-    def omega0(self) -> float:
-        """Degenerate angular frequency (half the pump frequency)."""
-        return 2.0 * np.pi * _C_LIGHT / self.degenerate_wavelength
 
     @property
     def tau0(self) -> float:
@@ -217,44 +207,19 @@ def apply_local(state: BiphotonState, u: np.ndarray) -> BiphotonState:
     return replace(state, pol=_both_photons(u, state.pol))
 
 
-@dataclass(frozen=True)
-class BellTarget:
-    """One of the two post-selected Bell states in the (H, V) pair basis.
-
-    For psi_minus the two annotation frequencies record where the pair phase
-    e^{+-i Omega tau0} reaches +-pi/2: omega0 +- pi / (2 tau0).
-    """
-
-    which: Literal["psi_plus", "psi_minus"]
-    amplitude: np.ndarray = field(repr=False)
-    omega1: float | None = None
-    omega2: float | None = None
-
-    @staticmethod
-    def psi_plus() -> "BellTarget":
-        amp = np.zeros((2, 2), dtype=complex)
-        amp[0, 1] = amp[1, 0] = 1.0 / np.sqrt(2.0)
-        return BellTarget(which="psi_plus", amplitude=amp)
-
-    @staticmethod
-    def psi_minus(crystal: CrystalParams | None = None) -> "BellTarget":
-        amp = np.zeros((2, 2), dtype=complex)
-        amp[0, 1] = 1.0 / np.sqrt(2.0)
-        amp[1, 0] = -1.0 / np.sqrt(2.0)
-        omega1 = omega2 = None
-        if crystal is not None:
-            shift = np.pi / (2.0 * crystal.tau0)
-            omega1 = crystal.omega0 + shift
-            omega2 = crystal.omega0 - shift
-        return BellTarget(which="psi_minus", amplitude=amp, omega1=omega1, omega2=omega2)
+# The two post-selected Bell states, amplitude[s1, s2] in the (H, V) pair basis.
+PSI_PLUS = np.array([[0, 1], [1, 0]], dtype=complex) / np.sqrt(2.0)
+PSI_MINUS = np.array([[0, 1], [-1, 0]], dtype=complex) / np.sqrt(2.0)
+PSI_PLUS.flags.writeable = False
+PSI_MINUS.flags.writeable = False
 
 
-def polarization_overlap(slice2x2: np.ndarray, target: BellTarget) -> complex:
-    """Complex overlap <target | slice> after normalizing the slice."""
+def polarization_overlap(slice2x2: np.ndarray, target: np.ndarray) -> complex:
+    """Complex overlap <target | slice> of PSI_PLUS or PSI_MINUS after normalizing the slice."""
     s = np.asarray(slice2x2, dtype=complex)
     if s.shape != (2, 2):
         raise ValueError(f"expected a 2x2 slice, got shape {s.shape}")
     n = np.linalg.norm(s)
     if n < 1e-300:
         raise DegenerateInputError("slice has zero norm")
-    return complex(np.sum(target.amplitude.conj() * s) / n)
+    return complex(np.sum(target.conj() * s) / n)

@@ -239,6 +239,39 @@ def test_too_many_histogram_channels_is_config_error(tmp_path, monkeypatch, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scenario", ["g2-curves", "histogram", "plate-surface",
+                                      "bell-postselect"])
+@pytest.mark.parametrize("k2", ["1e150", "2.5e144"])
+def test_overflowing_dispersion_is_config_error(tmp_path, monkeypatch, capsys, scenario, k2):
+    # 1e150: tau_f itself is inf; 2.5e144: tau_f = 1e308 s, but the grid edge
+    # 8 pi tau_f is not
+    monkeypatch.setattr(cli, "pdc_state", fail)
+    monkeypatch.setattr(cli, "g2_analytic", fail)
+    assert run(tmp_path, scenario, f"--fiber.k2_s2_per_m={k2}",
+               "--fiber.geometric_length_m=5e149") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "fiber.k2_s2_per_m" in err and "fiber.geometric_length_m" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("histogram.pair_rate_hz", ["--histogram.pair_rate_hz=1e300"]),
+    ("detector.dark_rate_per_channel_hz", ["--detector.dark_rate_per_channel_hz=1e300"]),
+    # inf pairs times a transmittance of exactly 0: the expected total is nan
+    ("histogram.pair_rate_hz", ["--histogram.pair_rate_hz=1e300",
+                                "--histogram.acquisition_time_s=1e300",
+                                "--fiber.geometric_length_m=1e6"]),
+])
+def test_poisson_total_past_int64_is_config_error(tmp_path, monkeypatch, capsys, key, overrides):
+    # numpy's Poisson sampler fails with "lam value too large" near 2^63
+    monkeypatch.setattr(cli, "pdc_state", fail)
+    assert run(tmp_path, "histogram", *overrides) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_config_problem_exits_2(tmp_path, capsys):
     assert run(tmp_path, "g2-curves", "--fiber.k2_s2_per_m=0") == 2
     err = capsys.readouterr().err

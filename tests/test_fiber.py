@@ -9,19 +9,17 @@ from biphoton import (
     DriftProcess,
     FiberChannel,
     FrequencyGrid,
-    channel_operator,
     drift_operators,
-    drift_sample,
     drift_walk,
     faraday_mirror,
     g2_numeric,
     pdc_state,
-    phase_aligned_distance,
     required_grid_n,
     tau_f,
     transmittance,
 )
 from biphoton import fiber as fiber_module
+from oracles import phase_aligned_distance
 
 
 def test_effective_length_doubles_on_return():
@@ -159,7 +157,7 @@ def test_drift_samples_follow_walk():
     walk = drift_walk(p, 100)
     for t in (0.0, 3.5, 3.6, 100.0, 359.999):
         idx = int(np.floor(t / p.time_step))
-        np.testing.assert_array_equal(drift_sample(p, t), walk[idx])
+        np.testing.assert_array_equal(drift_operators(p, [t], "single")[0], walk[idx])
 
 
 @pytest.mark.parametrize("time_step, t", [
@@ -185,21 +183,18 @@ def test_drift_stays_unitary():
 
 
 def test_drift_decorrelates_within_correlation_time():
-    # averaged over seeds, one correlation time of drift moves the
-    # transformation far from where it started
-    p0 = DriftProcess(correlation_time=360.0, step_angle_scale=np.pi)
-    dists = []
-    for seed in range(1000):
-        p = DriftProcess(
-            correlation_time=360.0, step_angle_scale=np.pi, seed=seed
-        )
-        u = drift_sample(p, 360.0)
-        sv = np.linalg.svd(np.eye(2) - u, compute_uv=False)
-        dists.append(0.5 * np.sum(sv))
-    assert np.mean(dists) > 0.5
+    # one correlation time of drift moves the transformation far from where it
+    # started; the walk's steps are independent, so the 1,000 disjoint
+    # 100-step increments of one walk are 1,000 samples of that displacement
+    p = DriftProcess(correlation_time=360.0, step_angle_scale=np.pi)
+    assert p.time_step * 100 == p.correlation_time
+    walk = drift_walk(p, 100_000)[::100]
+    u = walk[1:] @ np.swapaxes(walk[:-1], -1, -2).conj()
+    sv = np.linalg.svd(np.eye(2) - u, compute_uv=False)
+    assert np.mean(0.5 * np.sum(sv, axis=1)) > 0.5
 
 
-def test_channel_operator_single_pass_is_raw_drift(fiber):
+def test_channel_operator_single_pass_is_raw_drift():
     single = FiberChannel(
         k2=3.6e-26,
         geometric_length=240.0,
@@ -207,8 +202,9 @@ def test_channel_operator_single_pass_is_raw_drift(fiber):
         drift=DriftProcess(seed=21),
     )
     t = 1234.0
+    step = int(t // single.drift.time_step)
     np.testing.assert_array_equal(
-        channel_operator(single, t), drift_sample(single.drift, t)
+        drift_operators(single.drift, [t], single.passes)[0], drift_walk(single.drift, step)[step]
     )
 
 
@@ -220,8 +216,7 @@ def test_channel_operator_return_collapses_to_mirror():
         drift=DriftProcess(seed=21),
     )
     fm = faraday_mirror()
-    for t in (0.0, 500.0, 7200.0):
-        u = channel_operator(both, t)
+    for u in drift_operators(both.drift, [0.0, 500.0, 7200.0], both.passes):
         assert phase_aligned_distance(u, fm) < 1e-9
 
 
@@ -235,7 +230,7 @@ def test_channel_operator_single_pass_wanders():
             passes="single",
             drift=DriftProcess(seed=seed),
         )
-        u = channel_operator(single, 3600.0)
+        u = drift_operators(single.drift, [3600.0], single.passes)[0]
         if abs(u[0, 1]) > 0.1:
             hits += 1
     assert hits > 180

@@ -11,8 +11,6 @@ from biphoton import (
     backward,
     faraday_mirror,
     is_unitary,
-    jones_vector,
-    phase_aligned_distance,
     random_unitary,
     retarder,
     rotator,
@@ -20,20 +18,9 @@ from biphoton import (
     unitarity_residual,
 )
 from biphoton.jones import ATOL_COMPOSED
+from oracles import phase_aligned_distance
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def test_jones_vector_normalizes():
-    v = jones_vector(3.0, 4.0)
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
-    raw = jones_vector(3.0, 4.0, normalized=False)
-    np.testing.assert_allclose(raw, [3.0, 4.0])
-
-
-def test_jones_vector_zero_rejected():
-    with pytest.raises(ValueError):
-        jones_vector(0.0, 0.0)
 
 
 def test_analyzer_vector_components():

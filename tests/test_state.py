@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from biphoton import (
-    BellTarget,
+    PSI_MINUS,
+    PSI_PLUS,
     ConfigurationError,
     CrystalParams,
     DegenerateInputError,
@@ -23,15 +24,9 @@ from biphoton import (
 from biphoton import state as state_module
 from biphoton.state import _both_photons, _sinc_sums
 
-C_LIGHT = 299792458.0
-
 
 def test_crystal_derived_quantities(crystal):
     assert crystal.tau0 == pytest.approx(5e-14, rel=1e-12)
-    assert crystal.degenerate_wavelength == pytest.approx(702e-9, rel=1e-12)
-    assert crystal.omega0 == pytest.approx(
-        2 * np.pi * C_LIGHT / 702e-9, rel=1e-12
-    )
 
 
 def test_crystal_rejects_nonpositive():
@@ -297,9 +292,9 @@ def test_both_photons_matches_loop(rng):
 
 def test_polarization_overlap_triplet_at_degeneracy(state):
     sl = state.amp[:, :, state.grid.zero_index]
-    fid_plus = abs(polarization_overlap(sl, BellTarget.psi_plus())) ** 2
+    fid_plus = abs(polarization_overlap(sl, PSI_PLUS)) ** 2
     assert fid_plus == pytest.approx(1.0, abs=1e-12)
-    fid_minus = abs(polarization_overlap(sl, BellTarget.psi_minus())) ** 2
+    fid_minus = abs(polarization_overlap(sl, PSI_MINUS)) ** 2
     assert fid_minus == pytest.approx(0.0, abs=1e-12)
 
 
@@ -308,31 +303,29 @@ def test_polarization_overlap_half_wave_at_22p5_kills_triplet(state):
     # the antisymmetric one
     st = apply_local(state, retarder(np.pi / 2, np.pi / 8))
     sl = st.amp[:, :, st.grid.zero_index]
-    assert abs(polarization_overlap(sl, BellTarget.psi_plus())) == pytest.approx(
+    assert abs(polarization_overlap(sl, PSI_PLUS)) == pytest.approx(
         0.0, abs=1e-12
     )
 
 
 def test_polarization_overlap_zero_slice_rejected():
     with pytest.raises(DegenerateInputError):
-        polarization_overlap(np.zeros((2, 2), dtype=complex), BellTarget.psi_plus())
+        polarization_overlap(np.zeros((2, 2), dtype=complex), PSI_PLUS)
 
 
 def test_singlet_invariance(rng):
     # the antisymmetric combination is invariant under any collective rotation
-    singlet = BellTarget.psi_minus().amplitude
     for _ in range(50):
         u = random_unitary(rng)
-        rotated = u @ singlet @ u.T
-        fid = abs(polarization_overlap(rotated, BellTarget.psi_minus())) ** 2
+        rotated = u @ PSI_MINUS @ u.T
+        fid = abs(polarization_overlap(rotated, PSI_MINUS)) ** 2
         assert fid == pytest.approx(1.0, abs=1e-12)
 
 
-def test_bell_target_annotations(crystal):
-    t = BellTarget.psi_minus(crystal)
-    shift = np.pi / (2 * crystal.tau0)
-    assert t.omega1 == pytest.approx(crystal.omega0 + shift, rel=1e-12)
-    assert t.omega2 == pytest.approx(crystal.omega0 - shift, rel=1e-12)
+def test_bell_states_are_read_only():
+    for target in (PSI_PLUS, PSI_MINUS):
+        with pytest.raises(ValueError):
+            target[0, 1] = 0.0
 
 
 def test_round_trip_on_both_photons_restores_triplet(state, rng):
@@ -341,5 +334,5 @@ def test_round_trip_on_both_photons_restores_triplet(state, rng):
     rt = round_trip(u)
     st = apply_local(state, rt)
     sl = st.amp[:, :, st.grid.zero_index]
-    fid = abs(polarization_overlap(sl, BellTarget.psi_plus())) ** 2
+    fid = abs(polarization_overlap(sl, PSI_PLUS)) ** 2
     assert fid == pytest.approx(1.0, abs=1e-10)
