@@ -39,7 +39,6 @@ from .fiber import (
     FiberChannel,
     drift_operators,
     drift_walk,
-    required_grid_n,
     tau_f,
     transmittance,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "polarization_overlap",
     "postselect",
     "random_unitary",
-    "required_grid_n",
     "retarder",
     "rotator",
     "round_trip",

@@ -320,10 +320,10 @@ def _require_dispersion(cfg: ScenarioConfig) -> float:
     if scale <= 0.0:
         raise CliConfigError("fiber.k2_s2_per_m must be nonzero (and positive) for this scenario")
     edge = 2.0 * cfg.fiber.k2 * cfg.fiber.z * cfg.grid.omega_max
-    if not np.isfinite(edge):  # the edge is at least pi * tau_f, so it overflows first
+    if not np.isfinite(2.0 * edge):  # the edge is at least pi * tau_f, the tau span twice that
         raise CliConfigError(
             f"fiber.k2_s2_per_m * fiber.geometric_length_m overflows the tau axis: "
-            f"tau_f = {scale:.3g} s, grid edge 2 k2 z omega_max = {edge:.3g} s"
+            f"tau_f = {scale:.3g} s, tau span 4 k2 z omega_max = {2.0 * edge:.3g} s"
         )
     return scale
 
@@ -369,8 +369,8 @@ def _plate_state(cfg: ScenarioConfig):
 
 def _numeric_curves(cfg: ScenarioConfig):
     state = _plate_state(cfg)
-    plus = g2_numeric(state, cfg.fiber, PLUS_PLUS, mode="far_field")
-    minus = g2_numeric(state, cfg.fiber, PLUS_MINUS, mode="far_field")
+    plus = g2_numeric(state, cfg.fiber, PLUS_PLUS)
+    minus = g2_numeric(state, cfg.fiber, PLUS_MINUS)
     return plus, minus
 
 
@@ -406,6 +406,10 @@ def scenario_plate_surface(cfg: ScenarioConfig) -> list[Path]:
     n_a = int(cfg["surface.n_alpha"])
     n_t = int(cfg["surface.n_tau"])
     lobes = int(cfg["surface.tau_half_range_lobes"])
+    # linspace spans 2 lobes pi and the taus reach lobes pi tau_f; an int meets a float exactly
+    if not lobes <= sys.float_info.max / (np.pi * max(2.0, scale)):
+        raise CliConfigError(f"surface.tau_half_range_lobes puts the tau range past the float "
+                             f"range (tau_f = {scale:.3g} s)")
     _check_work("surface.n_delta * surface.n_alpha * surface.n_tau", n_d * n_a * n_t, "rows",
                 _MAX_SURFACE_ROWS)
     deltas = np.linspace(0.0, np.pi, n_d)

@@ -231,7 +231,6 @@ def simulate_histogram(
     channel_width: float,
     seed: int,
     n_channels: int | None = None,
-    zero_offset_channel: int | None = None,
     transmittance: float = 1.0,
 ) -> Histogram:
     """Simulate one start-stop acquisition against a g2 curve.
@@ -257,8 +256,7 @@ def simulate_histogram(
     if n_channels is None:
         half = int(np.ceil((support - channel_width / 2.0) / channel_width))
         n_channels = 2 * half + 1
-    if zero_offset_channel is None:
-        zero_offset_channel = n_channels // 2
+    zero_offset_channel = n_channels // 2
 
     mean_pairs = (pair_rate * acquisition_time * transmittance
                   * detectors.efficiency_1 * detectors.efficiency_2 / 2.0)

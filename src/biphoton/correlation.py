@@ -7,11 +7,12 @@ distribution takes the closed forms (t = tau / tau_f)
     G_minus(t) = [sin^2(4a) sin^4(d) cos^2(t) + sin^2(t)] sin^2(t) / t^2
 
 for a retarder (retardance d, axis angle a) crossed by both photons before
-the analyzers; d = 0 gives the bare source curves.  ``g2_numeric`` computes
-the same distributions from the sampled state, either through the far-field
-map tau = 2 k2 z Omega or by an exact discrete Fourier transform of the
-chirped amplitude, and the two routes agree only when every sign convention
-in the chain is consistent, which is what the test suite pins down.
+the analyzers; d = 0 gives the bare source curves.  These are far-field
+(strong-dispersion) forms.  ``g2_numeric`` computes the distributions from
+the sampled state: an exact discrete Fourier transform of the chirped
+amplitude where the grid samples the chirp, else the far-field image on
+tau = 2 k2 z Omega.  At strong chirp the routes agree only when every sign
+convention in the chain is consistent, which the test suite pins down.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, EmptyWindowError
-from .fiber import FiberChannel, check_chirp_sampling
+from .fiber import FiberChannel
 from .jones import RetarderSpec, analyzer_vector
 from .state import PSI_MINUS, PSI_PLUS, BiphotonState, _both_photons, polarization_overlap
 
@@ -108,36 +109,28 @@ def g2_analytic(
 
 
 def g2_numeric(
-    state: BiphotonState,
-    fiber: FiberChannel,
-    analyzer: AnalyzerConfig,
-    mode: Literal["far_field", "exact_fourier"] = "far_field",
+    state: BiphotonState, fiber: FiberChannel, analyzer: AnalyzerConfig
 ) -> CorrelationResult:
     """Coincidence distribution of the dispersed state behind two analyzers.
 
-    far_field evaluates |A(Omega)|^2 on the ray-optics map tau = 2 k2 z Omega
-    and is exact in the limit of strong dispersion.  exact_fourier transforms
-    the chirped amplitude A(Omega) e^{i k2 z Omega^2} to the time domain with
-    kernel e^{-i Omega tau} (detection-time difference tau = t1 - t2), which
-    reduces to the far-field result when tau_f dwarfs the source correlation
-    time.  Expects the state before dispersion; the chirp is applied here.
+    Where the grid samples the chirp e^{i k2 z Omega^2} (edge phase step
+    k2 z omega_max dOmega < pi/4; Voelz & Roggemann, Appl. Opt. 48, 6132
+    (2009)), k2 z = 0 included, the chirped amplitude is transformed exactly
+    with kernel e^{-i Omega tau} (tau = t1 - t2).  Elsewhere the result is the
+    far-field image |A(Omega)|^2 on tau = 2 k2 z Omega, the strong-dispersion
+    limit that ``g2_analytic`` gives.  Expects the state before dispersion.
     """
     grid = state.grid
     e1, e2 = (analyzer_vector(theta).conj() for theta in (analyzer.theta1, analyzer.theta2))
     a = np.kron(e1, e2) @ state.pol @ state.rows(0, grid.n_used)  # projected amplitude
     k2z = fiber.k2 * fiber.z
-    if mode == "far_field":
-        if k2z == 0.0:
-            raise ConfigurationError("far_field mode needs nonzero k2 * z")
+    if abs(k2z) * grid.omega_max * grid.domega >= np.pi / 4.0:
         tau = 2.0 * k2z * grid.omegas
         g2 = np.abs(a) ** 2
         if tau[1] < tau[0]:
             tau = tau[::-1]
             g2 = g2[::-1]
         return CorrelationResult(tau_grid=tau, g2=g2, analyzer=analyzer)
-    if mode != "exact_fourier":
-        raise ValueError(f"unknown mode {mode!r}")
-    check_chirp_sampling(fiber, grid)
     b = np.zeros(grid.n, dtype=complex)
     b[: grid.n_used] = a * np.exp(1j * k2z * grid.omegas**2)
     dtau = 2.0 * np.pi / (grid.n * grid.domega)

@@ -174,29 +174,7 @@ class FiberChannel:
 
 def tau_f(fiber: FiberChannel, crystal: CrystalParams) -> float:
     """Time scale 2 k2 z / tau0 of the dispersed correlation pattern."""
-    tau0 = crystal.tau0
-    if tau0 <= 0.0:
-        raise ConfigurationError("crystal tau0 must be > 0")
-    return 2.0 * fiber.k2 * fiber.z / tau0
-
-
-def required_grid_n(fiber: FiberChannel, omega_max: float) -> int:
-    """Smallest power-of-two grid n that samples the dispersion phase safely."""
-    n_min = 8.0 * abs(fiber.k2) * fiber.z * omega_max**2 / np.pi + 2.0
-    n = 256
-    while n < n_min:
-        n *= 2
-    return n
-
-
-def check_chirp_sampling(fiber: FiberChannel, grid) -> None:
-    """Reject grids whose edge-to-edge chirp phase step reaches pi/4."""
-    phase_step = abs(fiber.k2) * fiber.z * grid.omega_max * grid.domega
-    if phase_step >= np.pi / 4.0:
-        raise ConfigurationError(
-            f"dispersion phase under-sampled (edge step {phase_step:.3g} rad >= pi/4); "
-            f"use grid n >= {required_grid_n(fiber, grid.omega_max)}"
-        )
+    return 2.0 * fiber.k2 * fiber.z / crystal.tau0
 
 
 def transmittance(fiber: FiberChannel) -> float:

@@ -120,9 +120,9 @@ def unitarity_residual(u: np.ndarray) -> float:
     return max(float(np.max(np.abs(r), initial=0.0)) for r in residuals)
 
 
-def is_unitary(u: np.ndarray, atol: float = ATOL_COMPOSED) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     """True when ``u`` (2x2, or a (..., 2, 2) stack) is unitary in every matrix."""
-    return unitarity_residual(u) <= atol
+    return unitarity_residual(u) <= ATOL_COMPOSED
 
 
 def round_trip(u: np.ndarray) -> np.ndarray:
@@ -134,7 +134,7 @@ def round_trip(u: np.ndarray) -> np.ndarray:
     on the entry arrays; every matrix in it must be unitary.
     """
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, atol=ATOL_COMPOSED):
+    if not is_unitary(u):
         raise PreconditionError("round_trip requires unitary operators")
     (a, b), (c, d) = np.moveaxis(u, (-2, -1), (0, 1))
     # backward(u) @ FM = [[a, -c], [-b, d]] @ [[0, -1], [-1, 0]] = [[c, -a], [-d, b]],

@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton import (
+    CrystalParams,
     DriftProcess,
+    FrequencyGrid,
     RetarderSpec,
     cli,
     drift_operators,
     drift_timeseries,
     g2_analytic,
+    pdc_state,
     unitarity_residual,
 )
 from biphoton import fiber as fiber_module
@@ -50,6 +53,27 @@ def test_g2_curves_outputs(tmp_path):
         np.testing.assert_allclose(
             columns["g2_analytic"], ref / ref_peak, atol=1e-12
         )
+
+
+def test_g2_curves_at_weak_dispersion_match_direct_sum(tmp_path):
+    # k2 z = 0.19 tau0^2: the grid samples the chirp, so the numeric column is
+    # the exact transform, here against an O(n^2) rectangle-rule sum (the
+    # far-field image misses it by up to the whole peak)
+    assert run(tmp_path, "g2-curves", "--fiber.k2_s2_per_m=1e-30") == 0
+    crystal = CrystalParams(pump_wavelength=351e-9, gvm=2.0e-10, length=0.5e-3)
+    grid = FrequencyGrid(n=512, omega_max=8 * np.pi / crystal.tau0)
+    amp = pdc_state(crystal, grid).amp * np.exp(1j * 1e-30 * 480.0 * grid.omegas**2)
+    plus, minus = (np.array([np.cos(t1), np.sin(t1)]) for t1 in (np.pi / 4, -np.pi / 4))
+    columns, direct = {}, {}
+    for arm, e2 in (("plus", plus), ("minus", minus)):
+        columns[arm], _ = read_csv(tmp_path / "out" / f"g2_{arm}.csv")
+        a = np.einsum("a,b,abk->k", plus, e2, amp)
+        kernel = np.exp(-1j * np.outer(columns[arm]["tau_s"], grid.omegas))
+        direct[arm] = np.abs(grid.domega * (kernel @ a)) ** 2
+    peak = max(np.max(d) for d in direct.values())
+    for arm in ("plus", "minus"):
+        gap = np.max(np.abs(np.asarray(columns[arm]["g2_numeric"]) - direct[arm] / peak))
+        assert gap < 1e-9
 
 
 def test_plate_surface_row_count(tmp_path):
@@ -229,6 +253,17 @@ def test_huge_plate_surface_is_config_error(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lobes", [10**308, 10**400], ids=["1e308", "1e400"])
+def test_plate_surface_tau_range_past_float_is_config_error(tmp_path, monkeypatch, capsys, lobes):
+    # 10^308 lobes: linspace's span 2 pi lobes overflows; 10^400 is past any float
+    monkeypatch.setattr(cli.np, "linspace", fail)
+    monkeypatch.setattr(cli, "g2_analytic", fail)
+    assert run(tmp_path, "plate-surface", f"--surface.tau_half_range_lobes={lobes}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "surface.tau_half_range_lobes" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_too_many_histogram_channels_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "pdc_state", fail)
     monkeypatch.setattr(cli, "simulate_histogram", fail)
@@ -241,10 +276,11 @@ def test_too_many_histogram_channels_is_config_error(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize("scenario", ["g2-curves", "histogram", "plate-surface",
                                       "bell-postselect"])
-@pytest.mark.parametrize("k2", ["1e150", "2.5e144"])
+@pytest.mark.parametrize("k2", ["1e150", "2.5e144", "1e143"])
 def test_overflowing_dispersion_is_config_error(tmp_path, monkeypatch, capsys, scenario, k2):
     # 1e150: tau_f itself is inf; 2.5e144: tau_f = 1e308 s, but the grid edge
-    # 8 pi tau_f is not
+    # 8 pi tau_f is not; 1e143: the edge is 1e308 s, but the tau span, twice
+    # that, is not
     monkeypatch.setattr(cli, "pdc_state", fail)
     monkeypatch.setattr(cli, "g2_analytic", fail)
     assert run(tmp_path, scenario, f"--fiber.k2_s2_per_m={k2}",

@@ -201,7 +201,7 @@ def test_smeared_cdf_matches_math_erf_route(monkeypatch, crystal, fiber, n):
     # The histogram scenario's geometry: the far-field g2 of the default
     # state, 4,096 channels of tau_f / 20 and 1e-10 s jitter per detector.
     grid = FrequencyGrid(n=n, omega_max=8.0 * np.pi / crystal.tau0)
-    curve = g2_numeric(pdc_state(crystal, grid), fiber, PLUS_PLUS, mode="far_field")
+    curve = g2_numeric(pdc_state(crystal, grid), fiber, PLUS_PLUS)
     tau = curve.tau_grid
     edges = (np.arange(4097) - 2048 - 0.5) * (TAU_F / 20)
     args = (edges, tau, curve.g2, tau[1] - tau[0], math.sqrt(2.0) * 1e-10)

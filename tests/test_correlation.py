@@ -30,6 +30,7 @@ from biphoton import (
     tau_f,
     visibility,
 )
+from oracles import exact_transform, far_field_image
 
 TAU_F = 6.912e-10
 
@@ -120,18 +121,12 @@ def test_far_field_matches_closed_form(state, fiber):
             assert np.max(gap) < 1e-9
 
 
-def test_far_field_needs_dispersion(state):
-    flat = FiberChannel(k2=0.0, geometric_length=240.0)
-    with pytest.raises(ConfigurationError):
-        g2_numeric(state, flat, PLUS_PLUS)
-
-
 def test_exact_fourier_matches_direct_sum(crystal):
     # rectangle-rule evaluation of the same transform, O(n^2), as oracle
     grid = FrequencyGrid(n=512, omega_max=8 * np.pi / crystal.tau0)
     st = pdc_state(crystal, grid)
     mild = FiberChannel(k2=2.5e-30, geometric_length=100.0, passes="single")
-    res = g2_numeric(st, mild, PLUS_PLUS, mode="exact_fourier")
+    res = g2_numeric(st, mild, PLUS_PLUS)
 
     e1 = np.array([np.cos(PLUS_PLUS.theta1), np.sin(PLUS_PLUS.theta1)])
     e2 = np.array([np.cos(PLUS_PLUS.theta2), np.sin(PLUS_PLUS.theta2)])
@@ -152,7 +147,7 @@ def test_exact_fourier_box_without_dispersion(crystal):
     st = pdc_state(crystal, grid)
     none = FiberChannel(k2=0.0, geometric_length=1.0)
     hv = AnalyzerConfig(theta1=0.0, theta2=np.pi / 2)
-    res = g2_numeric(st, none, hv, mode="exact_fourier")
+    res = g2_numeric(st, none, hv)
     total = np.sum(res.g2)
     inside = (res.tau_grid > -0.05 * crystal.tau0) & (
         res.tau_grid < 2.05 * crystal.tau0
@@ -166,15 +161,30 @@ def test_exact_fourier_box_without_dispersion(crystal):
     assert np.max(g_in) / np.min(g_in) < 1.2
 
 
-def test_exact_fourier_guards_chirp_sampling(state):
-    # the physical default chirp is far too strong for a 512-point grid
-    strong = FiberChannel(k2=3.6e-26, geometric_length=240.0, passes="go_and_return")
-    with pytest.raises(ConfigurationError):
-        g2_numeric(state, strong, PLUS_PLUS, mode="exact_fourier")
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_route_follows_chirp_sampling(crystal, sign):
+    # k2 z = 0.4 tau0^2: the edge phase step k2 z omega_max dOmega is 0.99 rad
+    # on 512 points, at or above pi/4, and 0.49 rad on 1,024, below it
+    tau0 = crystal.tau0
+    fiber = FiberChannel(k2=sign * 0.4 * tau0**2 / 250.0, geometric_length=250.0)
+    k2z = fiber.k2 * fiber.z
+    for n, oracle in ((512, far_field_image), (1024, exact_transform)):
+        grid = FrequencyGrid(n=n, omega_max=8 * np.pi / tau0)
+        st = pdc_state(crystal, grid)
+        far = abs(k2z) * grid.omega_max * grid.domega >= np.pi / 4
+        assert far == (oracle is far_field_image)
+        spacing = 2 * abs(k2z) * grid.domega if far else 2 * np.pi / (n * grid.domega)
+        for analyzer in (PLUS_PLUS, PLUS_MINUS):
+            res = g2_numeric(st, fiber, analyzer)
+            np.testing.assert_allclose(np.diff(res.tau_grid), spacing, rtol=1e-9)
+            tau, g2 = oracle(st, fiber, analyzer)
+            np.testing.assert_array_equal(res.tau_grid, tau)
+            np.testing.assert_array_equal(res.g2, g2)
 
 
 def test_exact_fourier_agrees_with_far_field_at_large_chirp(crystal):
-    # in the strong-chirp limit the stationary-phase map becomes exact
+    # in the strong-chirp limit the stationary-phase map becomes exact; this
+    # grid still samples the chirp, so g2_numeric takes the exact transform
     tau0 = crystal.tau0
     grid = FrequencyGrid(n=1 << 18, omega_max=8 * np.pi / tau0)
     st = pdc_state(crystal, grid)
@@ -182,12 +192,32 @@ def test_exact_fourier_agrees_with_far_field_at_large_chirp(crystal):
         k2=100 * tau0**2 / 500.0, geometric_length=500.0, passes="single"
     )
     for analyzer in (PLUS_PLUS, PLUS_MINUS):
-        ff = g2_numeric(st, chirped, analyzer)
-        ef = g2_numeric(st, chirped, analyzer, mode="exact_fourier")
-        interp = np.interp(ff.tau_grid, ef.tau_grid, ef.g2)
+        ff_tau, ff = far_field_image(st, chirped, analyzer)
+        ef = g2_numeric(st, chirped, analyzer)
+        interp = np.interp(ff_tau, ef.tau_grid, ef.g2)
         peak = np.max(interp)
         assert peak > 0
-        assert np.max(np.abs(ff.g2 / np.max(ff.g2) - interp / peak)) < 1e-4
+        assert np.max(np.abs(ff / np.max(ff) - interp / peak)) < 1e-4
+    # The closed forms are the far-field limit, not the exact transform: on a
+    # plate that lifts the minus arm the exact curve misses them by 5.7e-3 of
+    # the joint peak at k2 z = 100 tau0^2, a gap that falls as 1 / (k2 z).  So
+    # acceptance 3 can hold to 1e-6 only on the far-field image.
+    plate = RetarderSpec(delta=2.15, alpha=np.pi / 8)
+    st = apply_local(st, plate.matrix())
+    scale = tau_f(chirped, crystal)
+
+    def gap_to_closed_form(curves):
+        ana = {w: g2_analytic(tau, scale, plate=plate, which=w) for w, (tau, _) in curves.items()}
+        num_peak = max(np.max(g2) for _, g2 in curves.values())
+        ana_peak = max(np.max(a) for a in ana.values())
+        return max(np.max(np.abs(g2 / num_peak - ana[w] / ana_peak))
+                   for w, (_, g2) in curves.items())
+
+    arms = {"plus": PLUS_PLUS, "minus": PLUS_MINUS}
+    exact = {w: g2_numeric(st, chirped, a) for w, a in arms.items()}
+    assert gap_to_closed_form({w: (r.tau_grid, r.g2) for w, r in exact.items()}) > 1e-3
+    far = {w: far_field_image(st, chirped, a) for w, a in arms.items()}
+    assert gap_to_closed_form(far) < 1e-9
 
 
 def test_total_rate_is_preserved(crystal, grid):
@@ -198,9 +228,7 @@ def test_total_rate_is_preserved(crystal, grid):
     total = 0.0
     for th1 in (0.0, np.pi / 2):
         for th2 in (0.0, np.pi / 2):
-            res = g2_numeric(
-                st, none, AnalyzerConfig(theta1=th1, theta2=th2), mode="exact_fourier"
-            )
+            res = g2_numeric(st, none, AnalyzerConfig(theta1=th1, theta2=th2))
             dtau = res.tau_grid[1] - res.tau_grid[0]
             total += np.sum(res.g2) * dtau / (2 * np.pi)
     assert total == pytest.approx(1.0, abs=1e-9)

@@ -1,20 +1,14 @@
-"""Dispersive channel: walk-off scale, loss, chirp guard, slow drift."""
+"""Dispersive channel: walk-off scale, loss, slow drift."""
 
 import numpy as np
 import pytest
 
 from biphoton import (
-    PLUS_PLUS,
-    ConfigurationError,
     DriftProcess,
     FiberChannel,
-    FrequencyGrid,
     drift_operators,
     drift_walk,
     faraday_mirror,
-    g2_numeric,
-    pdc_state,
-    required_grid_n,
     tau_f,
     transmittance,
 )
@@ -66,24 +60,6 @@ def test_transmittance_values(fiber):
         k2=3.6e-26, geometric_length=1000.0, passes="single", loss_db_per_km=12.0
     )
     assert transmittance(one_km) == pytest.approx(10 ** (-1.2), rel=1e-12)
-
-
-def test_exact_fourier_aliasing_guard_names_required_size(crystal):
-    coarse = FrequencyGrid(n=256, omega_max=8 * np.pi / crystal.tau0)
-    st = pdc_state(crystal, coarse)
-    strong = FiberChannel(k2=1.6e-28, geometric_length=250.0, passes="single")
-    with pytest.raises(ConfigurationError) as err:
-        g2_numeric(st, strong, PLUS_PLUS, mode="exact_fourier")
-    needed = required_grid_n(strong, coarse.omega_max)
-    assert str(needed) in str(err.value)
-    # and the suggested size actually clears the guard
-    fine = FrequencyGrid(n=needed, omega_max=8 * np.pi / crystal.tau0)
-    g2_numeric(pdc_state(crystal, fine), strong, PLUS_PLUS, mode="exact_fourier")
-
-
-def test_required_grid_n_is_power_of_two(fiber, grid):
-    n = required_grid_n(fiber, grid.omega_max)
-    assert n >= 256 and (n & (n - 1)) == 0
 
 
 def test_drift_starts_at_identity():
