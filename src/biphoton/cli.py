@@ -37,6 +37,7 @@ from .correlation import (
     PLUS_MINUS,
     PLUS_PLUS,
     PostSelectionWindow,
+    chirp_edge_step,
     g2_analytic,
     g2_numeric,
     postselect,
@@ -450,6 +451,9 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
             f"psi+ fidelity {res.psi_plus_fidelity:.6f}, "
             f"psi- fidelity {res.psi_minus_fidelity:.6f}"
         )
+    meta = cfg.metadata("bell-postselect")
+    # below pi/4 the window-to-band map tau = 2 k2 z Omega does not hold
+    meta["diag.chirp_edge_step_rad"] = chirp_edge_step(cfg.grid, cfg.fiber)
     path = _out_dir(cfg) / "bell_postselect.csv"
     write_csv(
         path,
@@ -462,7 +466,7 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
             "n_band_samples": [res.n_samples for res in results.values()],
             "selected_fraction": [res.selected_fraction for res in results.values()],
         },
-        cfg.metadata("bell-postselect"),
+        meta,
     )
     return [path]
 
@@ -476,7 +480,7 @@ def scenario_drift_series(cfg: ScenarioConfig) -> list[Path]:
                 "rows", _MAX_DRIFT_ROWS)
     times = np.arange(0.0, duration + interval / 2.0, interval)
     # One walk serves both layouts: the round trips are built from the one-way operators.
-    u = drift_operators(cfg.fiber.drift, times, "single")
+    u = drift_operators(cfg.fiber.drift, times)
     single = channel_visibility(u)
     both = channel_visibility(round_trip(u))
     _say(

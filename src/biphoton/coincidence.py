@@ -23,7 +23,7 @@ from .correlation import CorrelationResult, PostSelectionWindow
 from .csvio import write_csv
 from .errors import DegenerateInputError, EmptyWindowError
 from .fiber import _STREAM_HISTOGRAM, DriftProcess, drift_operators
-from .jones import analyzer_vector
+from .jones import analyzer_vector, round_trip
 from .state import PSI_PLUS
 
 # Terms of the channel law evaluated at once: caps memory (and keeps the
@@ -364,8 +364,13 @@ def drift_timeseries(
     same unitary.  Returns a float array of shape (T, 2): column 0 holds the
     sample times, column 1 the visibility at each (see ``channel_visibility``).
     """
+    if scenario not in ("single", "go_and_return"):
+        raise ValueError(f"unknown scenario {scenario!r}")
     times = np.asarray(sample_times, dtype=float)
-    return np.column_stack([times, channel_visibility(drift_operators(drift, times, scenario))])
+    u = drift_operators(drift, times)
+    if scenario == "go_and_return":
+        u = round_trip(u)
+    return np.column_stack([times, channel_visibility(u)])
 
 
 def channel_visibility(ops: np.ndarray) -> np.ndarray:

@@ -26,9 +26,10 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError, EmptyWindowError
 from .fiber import FiberChannel
 from .jones import RetarderSpec, analyzer_vector
-from .state import PSI_MINUS, PSI_PLUS, BiphotonState, _both_photons, polarization_overlap
+from .state import (PSI_MINUS, PSI_PLUS, BiphotonState, FrequencyGrid, _both_photons,
+                    polarization_overlap)
 
-Normalization = Literal["raw", "peak_unity"]
+Normalization = Literal["raw"]
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class CorrelationResult:
             raise ValueError("tau_grid must be symmetric about zero")
         if np.any(self.g2 < 0.0):
             raise ValueError("g2 must be nonnegative")
-        if self.normalization not in ("raw", "peak_unity"):
+        if self.normalization != "raw":
             raise ValueError(f"unknown normalization {self.normalization!r}")
 
 
@@ -108,6 +109,17 @@ def g2_analytic(
     return out
 
 
+def chirp_edge_step(grid: FrequencyGrid, fiber: FiberChannel) -> float:
+    """Phase step |k2 z| omega_max dOmega of the chirp e^{i k2 z Omega^2} at the grid edge, in rad.
+
+    Below pi/4 the grid samples the chirp and ``g2_numeric`` transforms it
+    exactly.  At pi/4 or above the coincidence pattern is the far-field image
+    on tau = 2 k2 z Omega, the map ``g2_numeric`` then uses and the one by
+    which ``postselect`` turns a time window into a detuning band.
+    """
+    return abs(fiber.k2 * fiber.z) * grid.omega_max * grid.domega
+
+
 def g2_numeric(
     state: BiphotonState, fiber: FiberChannel, analyzer: AnalyzerConfig
 ) -> CorrelationResult:
@@ -124,7 +136,7 @@ def g2_numeric(
     e1, e2 = (analyzer_vector(theta).conj() for theta in (analyzer.theta1, analyzer.theta2))
     a = np.kron(e1, e2) @ state.pol @ state.rows(0, grid.n_used)  # projected amplitude
     k2z = fiber.k2 * fiber.z
-    if abs(k2z) * grid.omega_max * grid.domega >= np.pi / 4.0:
+    if chirp_edge_step(grid, fiber) >= np.pi / 4.0:
         tau = 2.0 * k2z * grid.omegas
         g2 = np.abs(a) ** 2
         if tau[1] < tau[0]:
@@ -144,13 +156,10 @@ def visibility(plus: CorrelationResult, minus: CorrelationResult, tau: float = 0
     """(G+ - G-) / (G+ + G-) at one detection-time difference.
 
     Returns nan when the denominator is below 1e-15 of the joint peak; the
-    two results must share the tau grid and normalization, and visibility is
-    physically meaningful only for curves on a common ('raw') scale.
+    two results must share the tau grid.
     """
     if not np.array_equal(plus.tau_grid, minus.tau_grid):
         raise ValueError("results are on different tau grids")
-    if plus.normalization != minus.normalization:
-        raise ValueError("results use different normalizations")
     i = int(np.argmin(np.abs(plus.tau_grid - tau)))
     half_step = 0.5 * (plus.tau_grid[-1] - plus.tau_grid[0]) / max(len(plus.tau_grid) - 1, 1)
     if abs(plus.tau_grid[i] - tau) > half_step * (1.0 + 1e-9):

@@ -6,11 +6,12 @@ add and the linear ones cancel).  For large k2*z the channel acts like a
 far-field imaging system in time: the coincidence distribution becomes the
 image of the spectral amplitude under tau = 2 k2 z Omega.
 
-Slow polarization drift of the fiber is a seeded random walk on SU(2); in the
-go-and-return arrangement the walk is conjugated through the Faraday mirror
-and drops out entirely.  The walk's prefix products are taken in blocks of
-a fixed length, so a longer horizon never changes an earlier step's
-unitary, bit for bit.
+Slow polarization drift of the fiber is a seeded random walk on SU(2);
+``drift_operators`` gives its one-way operators, and the go-and-return
+arrangement is ``jones.round_trip`` of them: the walk is conjugated through
+the Faraday mirror and drops out entirely.  The walk's prefix products are
+taken in blocks of a fixed length, so a longer horizon never changes an
+earlier step's unitary, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Literal
 import numpy as np
 
 from .errors import ConfigurationError
-from .jones import round_trip
 from .state import CrystalParams
 
 # Independent substreams of a seed, SeedSequence([seed, id]): the drift walk's
@@ -122,15 +122,14 @@ def _su2_mul(a1, b1, a2, b2):
     return a1 * a2 - b1.conjugate() * b2, b1 * a2 + a1.conjugate() * b2
 
 
-def drift_operators(drift: DriftProcess, times, passes: str) -> np.ndarray:
-    """Polarization operators of the channel at each of ``times``, shape (T, 2, 2).
+def drift_operators(drift: DriftProcess, times) -> np.ndarray:
+    """One-way polarization operators of the fiber at each of ``times``, shape (T, 2, 2).
 
-    Drift is lumped at the fiber midpoint; a single pass sees it once, the
+    Drift is lumped at the fiber midpoint, so a single pass sees it once; the
     go-and-return arrangement sees it forward, then mirrored, then reversed,
-    which reduces it to a constant Faraday mirror times a phase.
+    which is ``jones.round_trip`` of these operators: a constant Faraday
+    mirror times a phase.
     """
-    if passes not in ("single", "go_and_return"):
-        raise ValueError(f"unknown passes mode {passes!r}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("sample times must be a non-empty 1-d sequence")
@@ -142,8 +141,7 @@ def drift_operators(drift: DriftProcess, times, passes: str) -> np.ndarray:
     if not np.all(steps < 2.0**63):
         raise ValueError(f"walk step index {np.max(steps):.3g} does not fit in an int")
     steps = steps.astype(int)
-    u = drift_walk(drift, int(np.max(steps)))[steps]
-    return u if passes == "single" else round_trip(u)
+    return drift_walk(drift, int(np.max(steps)))[steps]
 
 
 @dataclass(frozen=True)

@@ -7,21 +7,20 @@ env e^{i Omega tau0} and VH the row env e^{-i Omega tau0}, env = sinc(Omega tau0
 An element u in both paths acts as kron(u, u) on a 4x2 polarization block, so
 the state stays that block times the two rows (Schmidt rank at most 2); the
 rows are evaluated in closed form where read, their 2x2 Gram matrix gives the norm.
-For the sinc that matrix needs no np.sin over the grid: one sin/cos table of a
-block's offsets and the angle-addition rule give sin(k dOmega tau0) block by block.
+That matrix needs no np.sin over the grid: one sin/cos table of a block's
+offsets and the angle-addition rule give sin(k dOmega tau0) block by block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
 
-# Samples per block of the Gram pass in pdc_state: temporaries stay in cache.
+# Samples per block of the Gram pass in _sinc_sums: temporaries stay in cache.
 _BLOCK = 1 << 14
 
 
@@ -112,7 +111,7 @@ class FrequencyGrid:
 class BiphotonState:
     """Pair amplitude amp[s1, s2, k] = sum_j pol[2 s1 + s2, j] rows(start, stop)[j, k - start].
 
-    ``rows`` evaluates the two spectral rows on samples start..stop-1, and
+    The two spectral rows are scale * sinc(Omega tau0) e^{+-i Omega tau0}, and
     gram[i, j] = sum_k conj(rows[i, k]) rows[j, k] dOmega over the whole grid.
     """
 
@@ -120,7 +119,16 @@ class BiphotonState:
     crystal: CrystalParams
     pol: np.ndarray = field(repr=False)
     gram: np.ndarray = field(repr=False)
-    rows: Callable[[int, int], np.ndarray] = field(repr=False)
+    scale: float = field(repr=False)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The two spectral rows on samples start..stop-1, shape (2, stop - start)."""
+        k = np.arange(start - self.grid.zero_index, stop - self.grid.zero_index)
+        theta = k * self.grid.domega * self.crystal.tau0  # Omega tau0
+        sin = np.sin(theta)
+        env = np.divide(sin, theta, out=np.ones_like(theta), where=theta != 0.0)
+        phase = (np.cos(theta) + 1j * sin) * self.scale
+        return np.stack((phase, phase.conj())) * env
 
     @property
     def amp(self) -> np.ndarray:
@@ -132,21 +140,14 @@ class BiphotonState:
         return float(np.einsum("pi,ij,pj->", self.pol.conj(), self.gram, self.pol).real)
 
 
-def pdc_state(
-    crystal: CrystalParams,
-    grid: FrequencyGrid,
-    spectral_amplitude: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> BiphotonState:
+def pdc_state(crystal: CrystalParams, grid: FrequencyGrid) -> BiphotonState:
     """Post-selected pair amplitude of type-II down-conversion, with norm() == 1.
 
-    HV and VH carry env e^{+-i Omega tau0}; HH and VV vanish.  The default
-    envelope is sinc(Omega tau0); a ``spectral_amplitude`` replaces it and is
-    called on the detunings of each run of samples evaluated.  The Gram matrix
-    needs sum |env|^2 and sum |env|^2 e^{-2i Omega tau0}, with cos 2x = 1 - 2 sin^2 x.
-    For the sinc, ``_sinc_sums`` takes them from the Omega > 0 half alone (the
-    grid is exactly antisymmetric about Omega = 0), with one sin/cos table per
-    call and the angle-addition rule in place of np.sin per sample.  A user
-    envelope gets one real pass over the whole grid in blocks of ``_BLOCK``.
+    HV and VH carry sinc(Omega tau0) e^{+-i Omega tau0}; HH and VV vanish.  The
+    Gram matrix needs sum sinc^2 and sum sinc^2 e^{-2i Omega tau0}, with
+    cos 2x = 1 - 2 sin^2 x; the sinc is real and even and the grid is exactly
+    antisymmetric about Omega = 0, so the sine part of the cross term is 0 and
+    ``_sinc_sums`` takes the rest from the Omega > 0 half alone.
     """
     tau0 = crystal.tau0
     if grid.omega_max * tau0 < np.pi:
@@ -154,44 +155,12 @@ def pdc_state(
             "grid too narrow: omega_max * tau0 = "
             f"{grid.omega_max * tau0:.3g} < pi does not cover the main spectral lobe"
         )
-    z = grid.zero_index
-
-    def envelope(start: int, stop: int):
-        """Omega tau0, sin(Omega tau0) and the envelope on samples start..stop-1."""
-        omegas = np.arange(start - z, stop - z) * grid.domega
-        theta = omegas * tau0
-        sin = np.sin(theta)
-        if spectral_amplitude is None:
-            env = np.divide(sin, theta, out=np.ones_like(theta), where=theta != 0.0)
-        else:
-            env = np.asarray(spectral_amplitude(omegas), dtype=complex)
-        if env.shape != theta.shape:
-            raise ValueError("spectral_amplitude must return one value per grid point")
-        return theta, sin, env
-
-    if spectral_amplitude is None:  # the sinc is real and even; the grid is k = -z..z
-        (total, sin2), sincos = _sinc_sums(z, grid.domega * tau0), 0.0
-    else:
-        sums = np.zeros(3)  # sum |env|^2, sum |env|^2 sin^2, sum |env|^2 sin cos
-        for start in range(0, grid.n_used, _BLOCK):
-            theta, sin, env = envelope(start, min(start + _BLOCK, grid.n_used))
-            weight = np.abs(env) ** 2
-            weighted = weight * sin
-            sums += weight.sum(), weighted @ sin, weighted @ np.cos(theta)
-        total, sin2, sincos = sums
-    if total == 0.0:
-        raise DegenerateInputError("spectral amplitude is identically zero")
-    cross = complex(total - 2.0 * sin2, -2.0 * sincos)  # sum |env|^2 e^{-2i Omega tau0}
+    total, sin2 = _sinc_sums(grid.zero_index, grid.domega * tau0)  # total >= 1 (k = 0)
+    cross = complex(total - 2.0 * sin2, -0.0)  # sum sinc^2 e^{-2i Omega tau0}; -2 * 0 = -0.0
     gram = np.array([[total, cross], [cross.conjugate(), total]]) / (2.0 * total)
-    scale = 1.0 / np.sqrt(2.0 * total * grid.domega)
-
-    def rows(start: int, stop: int) -> np.ndarray:
-        theta, sin, env = envelope(start, stop)
-        phase = (np.cos(theta) + 1j * sin) * scale
-        return np.stack((phase, phase.conj())) * env
-
     pol = np.array([[0, 0], [1, 0], [0, 1], [0, 0]], dtype=complex)
-    return BiphotonState(grid=grid, crystal=crystal, pol=pol, gram=gram, rows=rows)
+    return BiphotonState(grid=grid, crystal=crystal, pol=pol, gram=gram,
+                         scale=1.0 / np.sqrt(2.0 * total * grid.domega))
 
 
 def _both_photons(u: np.ndarray, amp: np.ndarray) -> np.ndarray:

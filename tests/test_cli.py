@@ -137,6 +137,16 @@ def test_bell_postselect_reports_fidelities(tmp_path, capsys):
     assert all(0.0 < f < 0.1 for f in columns["selected_fraction"])
 
 
+@pytest.mark.parametrize("overrides, step", [((), 1.71e4), (("--grid.n=2097152",), 4.16),
+                                             (("--fiber.k2_s2_per_m=1e-30",), 0.476)])
+def test_bell_postselect_reports_chirp_edge_step(tmp_path, overrides, step):
+    # |k2 z| omega_max dOmega; below pi/4 (the weak fiber) the far-field map
+    # from window to band does not hold, and the header is where that shows
+    assert run(tmp_path, "bell-postselect", *overrides) == 0
+    _, meta = read_csv(tmp_path / "out" / "bell_postselect.csv")
+    assert float(meta["diag.chirp_edge_step_rad"]) == pytest.approx(step, rel=2e-3)
+
+
 def test_drift_series_columns(tmp_path):
     code = run(tmp_path, "drift-series", "--drift_series.duration_s=1800")
     assert code == 0
@@ -180,7 +190,7 @@ def test_drift_series_walks_once_for_both_layouts(tmp_path, monkeypatch, overrid
                            ("visibility_go_and_return", "go_and_return")):
         np.testing.assert_array_equal(columns[column], drift_timeseries(passes, drift, times)[:, 1])
     residual = float(meta["diag.max_unitarity_residual"])
-    assert residual == unitarity_residual(drift_operators(drift, times, "single"))
+    assert residual == unitarity_residual(drift_operators(drift, times))
     assert residual <= ATOL_COMPOSED
 
 

@@ -22,10 +22,12 @@ from biphoton import (
     FrequencyGrid,
     PostSelectionWindow,
     analyzer_vector,
-    drift_operators,
+    backward,
     channel_visibility,
+    drift_operators,
     drift_timeseries,
     estimate_visibility,
+    faraday_mirror,
     g2_analytic,
     g2_numeric,
     pdc_state,
@@ -485,10 +487,12 @@ def test_drift_series_matches_per_time_channel_operators():
     times = np.arange(0.0, 1800.0, 45.0)
     e_p = analyzer_vector(np.pi / 4.0).conj()
     e_m = analyzer_vector(-np.pi / 4.0).conj()
-    for passes in ("single", "go_and_return"):
+    # the go-and-return oracle is the matrix product, not round_trip itself
+    for passes, channel in (("single", lambda u: u),
+                            ("go_and_return", lambda u: backward(u) @ faraday_mirror() @ u)):
         expected = []
         for t in times:
-            u = drift_operators(drift, [t], passes)[0]
+            u = channel(drift_operators(drift, [t])[0])
             s = u @ PSI_PLUS @ u.T
             g_plus = abs(e_p @ s @ e_p) ** 2
             g_minus = abs(e_p @ s @ e_m) ** 2
@@ -517,6 +521,9 @@ def test_drift_series_is_deterministic():
 def test_drift_series_rejects_unknown_scenario():
     with pytest.raises(ValueError):
         drift_timeseries("diagonal", DriftProcess(seed=1), [0.0])
+    # drift_operators takes no layout, so the check is drift_timeseries' own
+    with pytest.raises(ValueError, match="unknown scenario 'sideways'"):
+        drift_timeseries("sideways", DriftProcess(seed=1), [0.0])
 
 
 def test_histogram_csv_round_trip(tmp_path):

@@ -289,6 +289,10 @@ def test_correlation_result_validation():
         CorrelationResult(
             tau_grid=tau, g2=-np.ones(5), analyzer=PLUS_PLUS, normalization="raw"
         )
+    with pytest.raises(ValueError, match="normalization"):
+        CorrelationResult(
+            tau_grid=tau, g2=np.ones(5), analyzer=PLUS_PLUS, normalization="peak_unity"
+        )
 
 
 def test_postselect_center_window_is_symmetric(state, fiber):
@@ -339,17 +343,15 @@ def test_postselect_empty_window_raises(state, fiber):
         postselect(state, fiber, far)
 
 
-def test_postselect_dead_band_raises(crystal, grid, fiber):
-    # an envelope that vanishes over the selected band leaves nothing to keep
-    def notched(omega):
-        out = np.sinc(omega * crystal.tau0 / np.pi)
-        out = np.where(np.abs(omega) < 0.1 / crystal.tau0, 0.0, out)
-        return out
-
-    st = pdc_state(crystal, grid, spectral_amplitude=notched)
-    w = PostSelectionWindow(center=0.0, half_width=0.01 * tau_f(fiber, crystal))
-    with pytest.raises(EmptyWindowError):
-        postselect(st, fiber, w)
+def test_postselect_dead_band_raises(state, fiber):
+    # HV - VH is 2i sinc(Omega tau0) sin(Omega tau0), exactly 0 at Omega = 0;
+    # a window narrower than one sample at tau = 0 keeps that sample alone
+    pol = np.zeros((4, 2), dtype=complex)
+    pol[1] = (1, -1)
+    w = PostSelectionWindow(center=0.0,
+                            half_width=0.4 * state.grid.domega * 2.0 * fiber.k2 * fiber.z)
+    with pytest.raises(EmptyWindowError, match="window carries 0 of"):
+        postselect(replace(state, pol=pol), fiber, w)
 
 
 def mask_postselect(state, fiber, window):

@@ -9,6 +9,7 @@ from biphoton import (
     drift_operators,
     drift_walk,
     faraday_mirror,
+    round_trip,
     tau_f,
     transmittance,
 )
@@ -133,7 +134,7 @@ def test_drift_samples_follow_walk():
     walk = drift_walk(p, 100)
     for t in (0.0, 3.5, 3.6, 100.0, 359.999):
         idx = int(np.floor(t / p.time_step))
-        np.testing.assert_array_equal(drift_operators(p, [t], "single")[0], walk[idx])
+        np.testing.assert_array_equal(drift_operators(p, [t])[0], walk[idx])
 
 
 @pytest.mark.parametrize("time_step, t", [
@@ -147,7 +148,7 @@ def test_drift_step_index_past_int_range_is_rejected(monkeypatch, time_step, t):
 
     monkeypatch.setattr(fiber_module, "_step_pairs", no_walk)
     with pytest.raises(ValueError, match="does not fit in an int"):
-        drift_operators(DriftProcess(time_step=time_step), [0.0, t], "single")
+        drift_operators(DriftProcess(time_step=time_step), [0.0, t])
 
 
 def test_drift_stays_unitary():
@@ -171,28 +172,15 @@ def test_drift_decorrelates_within_correlation_time():
 
 
 def test_channel_operator_single_pass_is_raw_drift():
-    single = FiberChannel(
-        k2=3.6e-26,
-        geometric_length=240.0,
-        passes="single",
-        drift=DriftProcess(seed=21),
-    )
+    drift = DriftProcess(seed=21)
     t = 1234.0
-    step = int(t // single.drift.time_step)
-    np.testing.assert_array_equal(
-        drift_operators(single.drift, [t], single.passes)[0], drift_walk(single.drift, step)[step]
-    )
+    step = int(t // drift.time_step)
+    np.testing.assert_array_equal(drift_operators(drift, [t])[0], drift_walk(drift, step)[step])
 
 
 def test_channel_operator_return_collapses_to_mirror():
-    both = FiberChannel(
-        k2=3.6e-26,
-        geometric_length=240.0,
-        passes="go_and_return",
-        drift=DriftProcess(seed=21),
-    )
     fm = faraday_mirror()
-    for u in drift_operators(both.drift, [0.0, 500.0, 7200.0], both.passes):
+    for u in round_trip(drift_operators(DriftProcess(seed=21), [0.0, 500.0, 7200.0])):
         assert phase_aligned_distance(u, fm) < 1e-9
 
 
@@ -200,13 +188,7 @@ def test_channel_operator_single_pass_wanders():
     # late in the run most seeds have picked up substantial mixing
     hits = 0
     for seed in range(200):
-        single = FiberChannel(
-            k2=3.6e-26,
-            geometric_length=240.0,
-            passes="single",
-            drift=DriftProcess(seed=seed),
-        )
-        u = drift_operators(single.drift, [3600.0], single.passes)[0]
+        u = drift_operators(DriftProcess(seed=seed), [3600.0])[0]
         if abs(u[0, 1]) > 0.1:
             hits += 1
     assert hits > 180
