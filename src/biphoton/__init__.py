@@ -15,6 +15,8 @@ from .coincidence import (
     drift_timeseries,
     estimate_visibility,
     simulate_histogram,
+    simulate_histograms,
+    write_histograms,
 )
 from .correlation import (
     PLUS_MINUS,
@@ -109,8 +111,10 @@ __all__ = [
     "rotator",
     "round_trip",
     "simulate_histogram",
+    "simulate_histograms",
     "tau_f",
     "transmittance",
     "unitarity_residual",
     "visibility",
+    "write_histograms",
 ]

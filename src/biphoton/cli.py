@@ -31,7 +31,8 @@ from .coincidence import (
     DetectorParams,
     channel_visibility,
     estimate_visibility,
-    simulate_histogram,
+    simulate_histograms,
+    write_histograms,
 )
 from .correlation import (
     PLUS_MINUS,
@@ -525,9 +526,9 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
         transmittance=pair_transmittance,
     )
     # Arm seeds from SeedSequence([seed, arm]): no arm replays another seed's arm.
-    seeds = [np.random.SeedSequence([cfg.seed, arm]).generate_state(1, np.uint64) for arm in (0, 1)]
-    hist_plus = simulate_histogram(plus, seed=int(seeds[0][0]), **common)
-    hist_minus = simulate_histogram(minus, seed=int(seeds[1][0]), **common)
+    seeds = [int(np.random.SeedSequence([cfg.seed, arm]).generate_state(1, np.uint64)[0])
+             for arm in (0, 1)]
+    hist_plus, hist_minus = simulate_histograms([plus, minus], seeds=seeds, **common)
     window = PostSelectionWindow(0.0, float(cfg["histogram.visibility_half_width_s"]))
     est = estimate_visibility(hist_plus, hist_minus, window)
     if est.background_channels:
@@ -539,12 +540,10 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
     meta["derived.pair_transmittance"] = pair_transmittance
     meta["diag.background_channels"] = est.background_channels
     out = _out_dir(cfg)
-    paths = []
-    for name, hist in (("plus", hist_plus), ("minus", hist_minus)):
-        path = out / f"histogram_{name}.csv"
-        hist.to_csv(path, {**meta, "arm": name})
-        paths.append(path)
-    return paths
+    files = [(out / f"histogram_{name}.csv", hist, {**meta, "arm": name})
+             for name, hist in (("plus", hist_plus), ("minus", hist_minus))]
+    write_histograms(files)
+    return [path for path, _, _ in files]
 
 
 SCENARIOS = {

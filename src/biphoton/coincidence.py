@@ -10,17 +10,26 @@ so the histogram is an independent Poisson count per channel: one draw per
 bin from the seed's histogram substream, whatever the acquisition time.
 Each bin's share is a closed form in erf, evaluated on whole numpy arrays by
 W. J. Cody's rational approximations (``_erf``), with no Python call per term.
+The erf terms depend on the channel edges, the g2 grid and the jitter alone,
+not on the curve: ``simulate_histograms`` evaluates each chunk of them once
+for all arms of one geometry (the ++ and +- analyzer settings) and sums it
+against each arm's density in turn, so every arm's counts are those of its
+own ``simulate_histogram`` call.  ``write_histograms`` writes the arms' CSVs
+in lockstep, with their shared channel_index and tau_center_s columns
+formatted once per block.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .correlation import CorrelationResult, PostSelectionWindow
-from .csvio import write_csv
+from .csvio import write_csvs
 from .errors import DegenerateInputError, EmptyWindowError
 from .fiber import _STREAM_HISTOGRAM, DriftProcess, drift_operators
 from .jones import analyzer_vector, round_trip
@@ -144,7 +153,11 @@ class Histogram:
         return (idx - self.zero_offset_channel) * self.channel_width
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
-        meta = {
+        write_histograms([(path, self, metadata)])
+
+    def _csv_metadata(self) -> dict[str, object]:
+        """The acquisition's provenance, one CSV header line each."""
+        return {
             "seed": self.seed,
             "channel_width_s": self.channel_width,
             "n_channels": self.n_channels,
@@ -162,17 +175,24 @@ class Histogram:
             "overflow": self.overflow,
             "signal_support_s": self.signal_support,
         }
-        if metadata:
-            meta.update(metadata)
-        write_csv(
-            path,
-            {
-                "channel_index": np.arange(self.n_channels),
-                "tau_center_s": self.tau_centers(),
-                "counts": self.counts,
-            },
-            meta,
-        )
+
+
+def write_histograms(files: Iterable[tuple[str | os.PathLike, Histogram, dict | None]]) -> None:
+    """Write each (path, histogram, extra metadata) to its CSV, all in lockstep.
+
+    Histograms of one channel geometry hold the same channel_index and
+    tau_center_s arrays, so csvio formats those columns once per block.
+    """
+    axes: dict[tuple, dict[str, np.ndarray]] = {}
+    tables = []
+    for path, hist, metadata in files:
+        key = (hist.n_channels, hist.zero_offset_channel, hist.channel_width)
+        if key not in axes:
+            axes[key] = {"channel_index": np.arange(hist.n_channels),
+                         "tau_center_s": hist.tau_centers()}
+        tables.append((path, {**axes[key], "counts": hist.counts},
+                       {**hist._csv_metadata(), **(metadata or {})}))
+    write_csvs(tables)
 
 
 def _cell_width(tau_grid: np.ndarray) -> float:
@@ -205,22 +225,106 @@ def _smeared_cdf(x, tau: np.ndarray, weight: np.ndarray, cell: float, s: float):
     weight[k] (Psi(x - b_k) - Psi(x - b_k+1)) / cell: exactly weight[k]
     (nothing) once the whole cell lies _REACH s below (above) x, so only a
     band of cells around each x is evaluated, about _CHUNK terms at once.
+    ``weight`` may stack several densities on one grid, shape (..., len(tau));
+    the result then has shape (..., len(x)).  The Psi differences depend on
+    the grid alone, so each chunk of them is evaluated once and summed against
+    each density in turn, exactly as for that density alone.
     """
+    weight = np.asarray(weight, dtype=float)
+    rows = weight.reshape(-1, len(tau))
     reach = _REACH * s + cell / 2.0
     band = min(int(np.ceil(2.0 * reach / cell)) + 2, len(tau))
     # Cells before first[i] lie wholly more than _REACH s below x[i].
     first = np.clip(np.floor((x - reach - tau[0]) / cell) + 1.0, 0, len(tau)).astype(np.int64)
-    full = np.concatenate([[0.0], np.cumsum(weight)])
-    cdf = full[first]
+    full = np.concatenate([np.zeros((len(rows), 1)), np.cumsum(rows, axis=1)], axis=1)
+    cdf = full[:, first]
     # Past the last cell: no weight, and bounds at a delay no x reaches.
     bounds = np.concatenate([tau - cell / 2.0, [tau[-1] + cell / 2.0], np.full(band, np.inf)])
-    weight = np.concatenate([weight, np.zeros(band)])
+    rows = np.concatenate([rows, np.zeros((len(rows), band))], axis=1)
     live = np.flatnonzero((first < len(tau)) & (x > bounds[0] - _REACH * s))
     for i in np.array_split(live, max(1, len(live) * band // _CHUNK)):
         k = first[i, None] + np.arange(band + 1)
         psi = _psi(x[i, None] - bounds[k], s)
-        cdf[i] += np.sum(weight[k[:, :-1]] * (psi[:, :-1] - psi[:, 1:]), axis=1) / cell
-    return cdf / full[-1]
+        step = psi[:, :-1] - psi[:, 1:]
+        for row, out in zip(rows, cdf):
+            out[i] += np.sum(row[k[:, :-1]] * step, axis=1) / cell
+    return (cdf / full[:, -1:]).reshape(weight.shape[:-1] + np.shape(x))
+
+
+def simulate_histograms(
+    curves: Sequence[CorrelationResult],
+    detectors: DetectorParams,
+    pair_rate: float,
+    acquisition_time: float,
+    channel_width: float,
+    seeds: Sequence[int],
+    n_channels: int | None = None,
+    transmittance: float = 1.0,
+) -> list[Histogram]:
+    """Simulate one start-stop acquisition per g2 curve, seeded by ``seeds``.
+
+    The curves share one tau grid, and so one channel geometry.  Each curve
+    is a piecewise-constant density over cells centered on the grid points,
+    and the delay adds N(0, 2 jitter_sigma^2).  The result is an independent
+    Poisson count per channel (and for underflow and overflow): the bin's
+    exact share of the density times the mean pair total
+    pair_rate * acquisition_time * transmittance * eff1 * eff2 / 2 (the
+    factor 2 is the beam-splitter post-selection); ``n_pairs`` is their sum.
+    The channel law of all curves comes from one pass over the grid, and each
+    histogram is bit for bit the one ``simulate_histogram`` gives its curve.
+    """
+    for name, v in (("pair_rate", pair_rate), ("acquisition_time", acquisition_time)):
+        if not np.isfinite(v) or v < 0.0:
+            raise ValueError(f"{name} must be finite and >= 0")
+    if not np.isfinite(channel_width) or channel_width <= 0.0:
+        raise ValueError("channel_width must be finite and > 0")
+    if not np.isfinite(transmittance) or not (0.0 <= transmittance <= 1.0):
+        raise ValueError("transmittance must be in [0, 1]")
+    if len(curves) == 0 or len(curves) != len(seeds):
+        raise ValueError("need one seed per curve, and at least one curve")
+    tau = curves[0].tau_grid
+    if any(not np.array_equal(g2.tau_grid, tau) for g2 in curves[1:]):
+        raise ValueError("curves must share one tau grid")
+    if any(float(np.sum(g2.g2)) <= 0.0 for g2 in curves):
+        raise DegenerateInputError("g2 curve is identically zero; no density to sample")
+    cell = _cell_width(tau)
+    support = float(np.max(np.abs(tau))) + cell / 2.0
+    if n_channels is None:
+        half = int(np.ceil((support - channel_width / 2.0) / channel_width))
+        n_channels = 2 * half + 1
+    zero_offset_channel = n_channels // 2
+
+    mean_pairs = (pair_rate * acquisition_time * transmittance
+                  * detectors.efficiency_1 * detectors.efficiency_2 / 2.0)
+    # Channel j holds delays in [(j - zero - 1/2) w, (j - zero + 1/2) w).
+    edges = (np.arange(n_channels + 1) - zero_offset_channel - 0.5) * channel_width
+    cdfs = _smeared_cdf(edges, tau, np.stack([g2.g2 for g2 in curves]), cell,
+                        math.sqrt(2.0) * detectors.jitter_sigma)
+    histograms = []
+    for cdf, seed in zip(cdfs, seeds):
+        share = np.maximum(np.diff(cdf, prepend=0.0, append=1.0), 0.0)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_HISTOGRAM]))
+        pairs = rng.poisson(mean_pairs * share).astype(np.int64)
+        background = rng.poisson(
+            detectors.dark_background_rate * acquisition_time, size=n_channels
+        ).astype(np.int64)
+        histograms.append(Histogram(
+            channel_width=channel_width,
+            n_channels=n_channels,
+            counts=pairs[1:-1] + background,
+            acquisition_time=acquisition_time,
+            seed=seed,
+            zero_offset_channel=zero_offset_channel,
+            underflow=int(pairs[0]),
+            overflow=int(pairs[-1]),
+            n_pairs=int(np.sum(pairs)),
+            n_background=int(np.sum(background)),
+            signal_support=support,
+            detectors=detectors,
+            pair_rate=pair_rate,
+            transmittance=transmittance,
+        ))
+    return histograms
 
 
 def simulate_histogram(
@@ -233,58 +337,9 @@ def simulate_histogram(
     n_channels: int | None = None,
     transmittance: float = 1.0,
 ) -> Histogram:
-    """Simulate one start-stop acquisition against a g2 curve.
-
-    The curve is a piecewise-constant density over cells centered on its grid
-    points, and the delay adds N(0, 2 jitter_sigma^2).  The result is an
-    independent Poisson count per channel (and for underflow and overflow):
-    the bin's exact share of the density times the mean pair total
-    pair_rate * acquisition_time * transmittance * eff1 * eff2 / 2 (the
-    factor 2 is the beam-splitter post-selection); ``n_pairs`` is their sum.
-    """
-    for name, v in (("pair_rate", pair_rate), ("acquisition_time", acquisition_time)):
-        if not np.isfinite(v) or v < 0.0:
-            raise ValueError(f"{name} must be finite and >= 0")
-    if not np.isfinite(channel_width) or channel_width <= 0.0:
-        raise ValueError("channel_width must be finite and > 0")
-    if not np.isfinite(transmittance) or not (0.0 <= transmittance <= 1.0):
-        raise ValueError("transmittance must be in [0, 1]")
-    if float(np.sum(g2.g2)) <= 0.0:
-        raise DegenerateInputError("g2 curve is identically zero; no density to sample")
-    cell = _cell_width(g2.tau_grid)
-    support = float(np.max(np.abs(g2.tau_grid))) + cell / 2.0
-    if n_channels is None:
-        half = int(np.ceil((support - channel_width / 2.0) / channel_width))
-        n_channels = 2 * half + 1
-    zero_offset_channel = n_channels // 2
-
-    mean_pairs = (pair_rate * acquisition_time * transmittance
-                  * detectors.efficiency_1 * detectors.efficiency_2 / 2.0)
-    # Channel j holds delays in [(j - zero - 1/2) w, (j - zero + 1/2) w).
-    edges = (np.arange(n_channels + 1) - zero_offset_channel - 0.5) * channel_width
-    cdf = _smeared_cdf(edges, g2.tau_grid, g2.g2, cell, math.sqrt(2.0) * detectors.jitter_sigma)
-    share = np.maximum(np.diff(cdf, prepend=0.0, append=1.0), 0.0)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_HISTOGRAM]))
-    pairs = rng.poisson(mean_pairs * share).astype(np.int64)
-    background = rng.poisson(
-        detectors.dark_background_rate * acquisition_time, size=n_channels
-    ).astype(np.int64)
-    return Histogram(
-        channel_width=channel_width,
-        n_channels=n_channels,
-        counts=pairs[1:-1] + background,
-        acquisition_time=acquisition_time,
-        seed=seed,
-        zero_offset_channel=zero_offset_channel,
-        underflow=int(pairs[0]),
-        overflow=int(pairs[-1]),
-        n_pairs=int(np.sum(pairs)),
-        n_background=int(np.sum(background)),
-        signal_support=support,
-        detectors=detectors,
-        pair_rate=pair_rate,
-        transmittance=transmittance,
-    )
+    """Simulate one start-stop acquisition against a g2 curve (see ``simulate_histograms``)."""
+    return simulate_histograms([g2], detectors, pair_rate, acquisition_time, channel_width,
+                               [seed], n_channels, transmittance)[0]
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,14 @@ bytes.  Rows are written in fixed blocks, each formatted column by column
 (float cells once per distinct bit pattern in the block, integer cells by
 ``str`` of their Python ints), so neither the cell texts nor the rows of a
 whole file are ever held at once; the bytes do not depend on the block size.
+``write_csvs`` writes several files block by block in lockstep: a column
+array that more than one of them holds is formatted once per block, and its
+block's text is shared; each file's bytes are those it gets written alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Iterable, Mapping, Sequence
 
@@ -48,18 +52,50 @@ def write_csv(
     columns: Mapping[str, Sequence],
     metadata: Mapping[str, object],
 ) -> None:
-    names = list(columns)
-    arrays = [np.asarray(columns[name]) for name in names]
-    n_rows = len(arrays[0])
-    if any(len(a) != n_rows for a in arrays):
-        raise ValueError("all columns must have the same length")
-    lines = [f"# {key} = {format_value(value)}" for key, value in metadata.items()]
-    lines.append(",".join(names))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            texts = [_column_text(a[start:start + _BLOCK_ROWS]) for a in arrays]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+    write_csvs([(path, columns, metadata)])
+
+
+def write_csvs(
+    files: Iterable[tuple[str | os.PathLike, Mapping[str, Sequence], Mapping[str, object]]],
+) -> None:
+    """Write each (path, columns, metadata) to its CSV, all files block by block in lockstep.
+
+    A column array that several files hold (the same object) is formatted
+    once per block for all of them.  Each file's bytes are those of
+    ``write_csv`` of that file alone.
+    """
+    tables = []
+    uses: dict[int, int] = {}
+    for path, columns, metadata in files:
+        names = list(columns)
+        arrays = [np.asarray(columns[name]) for name in names]
+        n_rows = len(arrays[0])
+        if any(len(a) != n_rows for a in arrays):
+            raise ValueError("all columns must have the same length")
+        lines = [f"# {key} = {format_value(value)}" for key, value in metadata.items()]
+        lines.append(",".join(names))
+        tables.append((path, arrays, n_rows, "\n".join(lines) + "\n"))
+        for a in arrays:
+            uses[id(a)] = uses.get(id(a), 0) + 1
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                   for path, _, _, _ in tables]
+        for fh, (_, _, _, header) in zip(handles, tables):
+            fh.write(header)
+        for start in range(0, max((t[2] for t in tables), default=0), _BLOCK_ROWS):
+            shared: dict[int, list[str]] = {}
+            for fh, (_, arrays, n_rows, _) in zip(handles, tables):
+                if start >= n_rows:
+                    continue
+                texts = []
+                for a in arrays:
+                    if uses[id(a)] == 1:
+                        texts.append(_column_text(a[start:start + _BLOCK_ROWS]))
+                        continue
+                    if id(a) not in shared:  # a list, not a lazy map: several files read it
+                        shared[id(a)] = list(_column_text(a[start:start + _BLOCK_ROWS]))
+                    texts.append(shared[id(a)])
+                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def read_csv(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict[str, str]]:

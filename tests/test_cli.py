@@ -14,12 +14,16 @@ from biphoton import (
     CrystalParams,
     DriftProcess,
     FrequencyGrid,
+    PostSelectionWindow,
     RetarderSpec,
     cli,
     drift_operators,
     drift_timeseries,
+    estimate_visibility,
     g2_analytic,
     pdc_state,
+    simulate_histogram,
+    transmittance,
     unitarity_residual,
 )
 from biphoton import fiber as fiber_module
@@ -276,7 +280,7 @@ def test_plate_surface_tau_range_past_float_is_config_error(tmp_path, monkeypatc
 
 def test_too_many_histogram_channels_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "pdc_state", fail)
-    monkeypatch.setattr(cli, "simulate_histogram", fail)
+    monkeypatch.setattr(cli, "simulate_histograms", fail)
     channels = cli._MAX_HISTOGRAM_CHANNELS + 1
     assert run(tmp_path, "histogram", f"--histogram.n_channels={channels}") == 2
     err = capsys.readouterr().err
@@ -334,6 +338,36 @@ def test_histogram_reports_visibility(tmp_path, capsys):
         assert int(meta["n_pairs"]) > 0
         assert sum(columns["counts"]) > 0
         assert int(meta["diag.background_channels"]) > 0
+
+
+@pytest.mark.parametrize("overrides", [(), ("--detector.jitter_sigma_s=0", "--grid.n=1024")])
+def test_histogram_files_match_one_arm_at_a_time(tmp_path, overrides):
+    # Oracle: the scenario as one simulate_histogram and one to_csv per arm.
+    argv = ("--sim.seed=5", *overrides)
+    assert run(tmp_path, "histogram", *argv) == 0
+    cfg = cli._load_config(None, cli._parse_overrides(
+        [*argv, f"--sim.output_dir={tmp_path / 'out'}"]))
+    common = dict(
+        detectors=cfg.detectors,
+        pair_rate=cfg["histogram.pair_rate_hz"],
+        acquisition_time=cfg["histogram.acquisition_time_s"],
+        channel_width=cfg["histogram.channel_width_s"],
+        n_channels=cfg["histogram.n_channels"],
+        transmittance=transmittance(cfg.fiber) ** 2,
+    )
+    hists = {}
+    for arm, (name, curve) in enumerate(zip(("plus", "minus"), cli._numeric_curves(cfg))):
+        seed = int(np.random.SeedSequence([cfg.seed, arm]).generate_state(1, np.uint64)[0])
+        hists[name] = simulate_histogram(curve, seed=seed, **common)
+    window = PostSelectionWindow(0.0, cfg["histogram.visibility_half_width_s"])
+    meta = cfg.metadata("histogram")
+    meta["derived.pair_transmittance"] = common["transmittance"]
+    meta["diag.background_channels"] = estimate_visibility(
+        hists["plus"], hists["minus"], window).background_channels
+    for name, hist in hists.items():
+        hist.to_csv(tmp_path / f"{name}.csv", {**meta, "arm": name})
+        expected = (tmp_path / f"{name}.csv").read_bytes()
+        assert (tmp_path / "out" / f"histogram_{name}.csv").read_bytes() == expected
 
 
 def test_histogram_without_background_channels_says_so(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Monte Carlo coincidence counting against analytic distributions."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -15,10 +16,12 @@ from biphoton import (
     PLUS_PLUS,
     PSI_PLUS,
     CorrelationResult,
+    CrystalParams,
     DegenerateInputError,
     DetectorParams,
     DriftProcess,
     EmptyWindowError,
+    FiberChannel,
     FrequencyGrid,
     PostSelectionWindow,
     analyzer_vector,
@@ -32,6 +35,7 @@ from biphoton import (
     g2_numeric,
     pdc_state,
     simulate_histogram,
+    simulate_histograms,
 )
 from biphoton import coincidence
 from biphoton.coincidence import _erf, _smeared_cdf
@@ -212,6 +216,74 @@ def test_smeared_cdf_matches_math_erf_route(monkeypatch, crystal, fiber, n):
     expected = _smeared_cdf(*args)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
     assert got[0] == 0.0 and got[-1] == 1.0
+
+
+def smeared_cdf_one_curve(x, tau, weight, cell, s):
+    """The channel law of one density alone: the route before densities were stacked."""
+    reach = coincidence._REACH * s + cell / 2.0
+    band = min(int(np.ceil(2.0 * reach / cell)) + 2, len(tau))
+    first = np.clip(np.floor((x - reach - tau[0]) / cell) + 1.0, 0, len(tau)).astype(np.int64)
+    full = np.concatenate([[0.0], np.cumsum(weight)])
+    cdf = full[first]
+    bounds = np.concatenate([tau - cell / 2.0, [tau[-1] + cell / 2.0], np.full(band, np.inf)])
+    weight = np.concatenate([weight, np.zeros(band)])
+    live = np.flatnonzero((first < len(tau)) & (x > bounds[0] - coincidence._REACH * s))
+    for i in np.array_split(live, max(1, len(live) * band // coincidence._CHUNK)):
+        k = first[i, None] + np.arange(band + 1)
+        psi = coincidence._psi(x[i, None] - bounds[k], s)
+        cdf[i] += np.sum(weight[k[:, :-1]] * (psi[:, :-1] - psi[:, 1:]), axis=1) / cell
+    return cdf / full[-1]
+
+
+@functools.lru_cache(maxsize=None)
+def scenario_curves(n):
+    """Both arms' far-field g2 of the default state on an n-point grid."""
+    crystal = CrystalParams(pump_wavelength=351e-9, gvm=2.0e-10, length=0.5e-3)
+    fiber = FiberChannel(k2=3.6e-26, geometric_length=240.0, passes="go_and_return")
+    state = pdc_state(crystal, FrequencyGrid(n=n, omega_max=8.0 * np.pi / crystal.tau0))
+    return g2_numeric(state, fiber, PLUS_PLUS), g2_numeric(state, fiber, PLUS_MINUS)
+
+
+@pytest.mark.parametrize("n, jitter, chunk", [
+    (512, 1e-10, coincidence._CHUNK),
+    (1 << 16, 1e-10, coincidence._CHUNK),
+    (512, 1e-10, 311),
+    (512, 0.0, coincidence._CHUNK),
+    (1 << 16, 0.0, coincidence._CHUNK),
+])
+def test_stacked_channel_law_is_each_curve_alone(monkeypatch, n, jitter, chunk):
+    # The histogram scenario's geometry: 4,096 channels of tau_f / 20.
+    monkeypatch.setattr(coincidence, "_CHUNK", chunk)
+    curves = scenario_curves(n)
+    tau = curves[0].tau_grid
+    edges = (np.arange(4097) - 2048 - 0.5) * (TAU_F / 20)
+    args = (tau, tau[1] - tau[0], math.sqrt(2.0) * jitter)
+    stacked = _smeared_cdf(edges, args[0], np.stack([c.g2 for c in curves]), *args[1:])
+    assert stacked.shape == (2, len(edges))
+    for row, curve in zip(stacked, curves):
+        alone = smeared_cdf_one_curve(edges, args[0], curve.g2, *args[1:])
+        np.testing.assert_array_equal(row.view(np.uint64), alone.view(np.uint64))
+    detectors = DetectorParams(jitter_sigma=jitter, dark_background_rate=0.5)
+    kwargs = dict(detectors=detectors, pair_rate=2e5, acquisition_time=100.0,
+                  channel_width=TAU_F / 20, n_channels=4096, transmittance=0.9)
+    both = simulate_histograms(curves, seeds=[11, 12], **kwargs)
+    for hist, curve, seed in zip(both, curves, (11, 12)):
+        alone = simulate_histogram(curve, seed=seed, **kwargs)
+        np.testing.assert_array_equal(hist.counts, alone.counts)
+        assert (hist.underflow, hist.overflow, hist.n_pairs, hist.n_background) == (
+            alone.underflow, alone.overflow, alone.n_pairs, alone.n_background)
+
+
+def test_simulate_histograms_needs_one_grid_and_a_seed_per_curve():
+    plus, minus = analytic_curve("plus"), analytic_curve("minus", n=2047)
+    kwargs = dict(detectors=IDEAL, pair_rate=1e5, acquisition_time=1.0,
+                  channel_width=TAU_F / 20)
+    with pytest.raises(ValueError, match="share one tau grid"):
+        simulate_histograms([plus, minus], seeds=[1, 2], **kwargs)
+    with pytest.raises(ValueError, match="one seed per curve"):
+        simulate_histograms([plus, plus], seeds=[1], **kwargs)
+    with pytest.raises(ValueError, match="one seed per curve"):
+        simulate_histograms([], seeds=[], **kwargs)
 
 
 def test_histogram_is_deterministic():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from biphoton import csvio
-from biphoton.csvio import format_value, read_csv, write_csv
+from biphoton.csvio import format_value, read_csv, write_csv, write_csvs
 
 BLOCK = csvio._BLOCK_ROWS
 METADATA = {"run.seed": 7, "fiber.k2_s2_per_m": 3.6e-26, "flag": True, "note": "plain text"}
@@ -58,6 +58,35 @@ def test_write_csv_matches_per_cell_writer(tmp_path, monkeypatch, n_rows):
     monkeypatch.setattr(csvio, "_BLOCK_ROWS", 3)
     write_csv(tmp_path / "small_blocks.csv", columns, METADATA)
     assert (tmp_path / "small_blocks.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("block", [BLOCK, 100])
+def test_lockstep_writer_matches_one_file_writes(tmp_path, monkeypatch, block):
+    # Two files share the column arrays "axis" and "repeat" (the same
+    # objects), one file holds one array twice, and a third file is longer.
+    monkeypatch.setattr(csvio, "_BLOCK_ROWS", block)
+    n_rows = 2 * BLOCK + 5
+    axis = np.arange(n_rows)
+    first, second = mixed_columns(n_rows, seed=1), mixed_columns(n_rows, seed=2)
+    second["repeat"] = first["repeat"]
+    files = [
+        ("a.csv", {"axis": axis, **first}, METADATA),
+        ("b.csv", {"axis": axis, **second, "again": second["i64"]}, {"arm": "minus"}),
+        ("c.csv", mixed_columns(n_rows + BLOCK + 1, seed=3), {}),
+        ("d.csv", {"empty": np.zeros(0)}, {"rows": 0}),
+    ]
+    write_csvs([(tmp_path / name, columns, meta) for name, columns, meta in files])
+    for name, columns, meta in files:
+        write_csv(tmp_path / f"alone_{name}", columns, meta)
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"alone_{name}").read_bytes()
+
+
+def test_lockstep_writer_checks_every_file_before_writing(tmp_path):
+    good = {"a": [1.0, 2.0]}
+    with pytest.raises(ValueError):
+        write_csvs([(tmp_path / "good.csv", good, {}),
+                    (tmp_path / "ragged.csv", {"a": [1.0, 2.0], "b": [1.0]}, {})])
+    assert not (tmp_path / "good.csv").exists()
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):
