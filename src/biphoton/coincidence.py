@@ -40,6 +40,11 @@ from .state import PSI_PLUS
 _CHUNK = 1 << 14
 # Beyond this many sigmas the normal CDF is 0 or 1 in double precision.
 _REACH = 9.0
+# Least share of a bin within reach of the signal.  numpy's Poisson sampler
+# takes no uniform at mean 0 and at least one at any positive mean, so which
+# shares are exactly 0 decides how every later draw lines up: that must follow
+# from the geometry, not from rounding in the far tails of erf.
+_FLOOR = 1e-300
 
 # W. J. Cody's rational Chebyshev approximations to erf and erfc (Math. Comp.
 # 23, 631 (1969); the coefficients of SPECFUN's CALERF), highest degree first.
@@ -137,6 +142,8 @@ class Histogram:
     n_pairs: int = 0
     n_background: int = 0
     signal_support: float = 0.0
+    in_reach_channels: int = 0
+    floored_channels: int = 0
     detectors: DetectorParams = DetectorParams()
     pair_rate: float = 0.0
     transmittance: float = 1.0
@@ -174,6 +181,8 @@ class Histogram:
             "underflow": self.underflow,
             "overflow": self.overflow,
             "signal_support_s": self.signal_support,
+            "diag.in_reach_channels": self.in_reach_channels,
+            "diag.floored_channels": self.floored_channels,
         }
 
 
@@ -270,6 +279,10 @@ def simulate_histograms(
     exact share of the density times the mean pair total
     pair_rate * acquisition_time * transmittance * eff1 * eff2 / 2 (the
     factor 2 is the beam-splitter post-selection); ``n_pairs`` is their sum.
+    A bin [lo, hi) within reach of the signal, meeting [-r, r] with r the
+    signal support plus _REACH jitter sigmas of the delay, has a share of at
+    least _FLOOR, and every other bin a share of exactly 0; the histogram
+    reports how many channels are within reach and how many were floored.
     The channel law of all curves comes from one pass over the grid, and each
     histogram is bit for bit the one ``simulate_histogram`` gives its curve.
     """
@@ -298,11 +311,15 @@ def simulate_histograms(
                   * detectors.efficiency_1 * detectors.efficiency_2 / 2.0)
     # Channel j holds delays in [(j - zero - 1/2) w, (j - zero + 1/2) w).
     edges = (np.arange(n_channels + 1) - zero_offset_channel - 0.5) * channel_width
-    cdfs = _smeared_cdf(edges, tau, np.stack([g2.g2 for g2 in curves]), cell,
-                        math.sqrt(2.0) * detectors.jitter_sigma)
+    s = math.sqrt(2.0) * detectors.jitter_sigma
+    cdfs = _smeared_cdf(edges, tau, np.stack([g2.g2 for g2 in curves]), cell, s)
+    reach = support + _REACH * s
+    in_reach = (np.append(-np.inf, edges) <= reach) & (np.append(edges, np.inf) > -reach)
     histograms = []
     for cdf, seed in zip(cdfs, seeds):
-        share = np.maximum(np.diff(cdf, prepend=0.0, append=1.0), 0.0)
+        share = np.diff(cdf, prepend=0.0, append=1.0)
+        floored = in_reach & (share < _FLOOR)
+        share = np.where(in_reach, np.maximum(share, _FLOOR), 0.0)
         rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_HISTOGRAM]))
         pairs = rng.poisson(mean_pairs * share).astype(np.int64)
         background = rng.poisson(
@@ -320,6 +337,8 @@ def simulate_histograms(
             n_pairs=int(np.sum(pairs)),
             n_background=int(np.sum(background)),
             signal_support=support,
+            in_reach_channels=int(np.count_nonzero(in_reach[1:-1])),
+            floored_channels=int(np.count_nonzero(floored[1:-1])),
             detectors=detectors,
             pair_rate=pair_rate,
             transmittance=transmittance,

@@ -37,7 +37,7 @@ from biphoton import (
     simulate_histogram,
     simulate_histograms,
 )
-from biphoton import coincidence
+from biphoton import cli, coincidence
 from biphoton.coincidence import _erf, _smeared_cdf
 from biphoton.csvio import read_csv
 
@@ -284,6 +284,44 @@ def test_simulate_histograms_needs_one_grid_and_a_seed_per_curve():
         simulate_histograms([plus, plus], seeds=[1], **kwargs)
     with pytest.raises(ValueError, match="one seed per curve"):
         simulate_histograms([], seeds=[], **kwargs)
+
+
+def erf_nudged_in_the_tails(toward):
+    """_erf moved by one ulp toward ``toward`` (times the sign of erf) where |x| > 3."""
+    def nudged(x):
+        out = _erf(x)
+        far = np.abs(x) > 3.0
+        out[far] = np.nextafter(out[far], toward * np.sign(out[far]))
+        return out
+    return nudged
+
+
+def test_counts_do_not_follow_erf_rounding_in_the_tails(tmp_path, monkeypatch):
+    # Far-tail shares that are rounding noise must not decide which bins draw
+    # from the Poisson stream: at the scenario defaults, one ulp of erf in the
+    # tails leaves every count of both arms as it was.
+    def counts(seed):
+        out = tmp_path / f"{seed}"
+        assert cli.main(["histogram", f"--sim.seed={seed}", f"--sim.output_dir={out}"]) == 0
+        return [read_csv(out / f"histogram_{arm}.csv")[0]["counts"] for arm in ("plus", "minus")]
+
+    seeds = range(1, 6)
+    expected = [counts(seed) for seed in seeds]
+    for toward in (0.0, np.inf):
+        monkeypatch.setattr(coincidence, "_erf", erf_nudged_in_the_tails(toward))
+        for seed, arms in zip(seeds, expected):
+            for got, want in zip(counts(seed), arms):
+                np.testing.assert_array_equal(got, want)
+
+
+def test_histogram_shares_within_reach_are_floored(tmp_path):
+    assert cli.main(["histogram", f"--sim.output_dir={tmp_path}"]) == 0
+    for arm, floored in (("plus", 12), ("minus", 16)):
+        columns, meta = read_csv(tmp_path / f"histogram_{arm}.csv")
+        # 4,096 channels of tau_f / 20 against a signal support plus 9 jitter
+        # sigmas of about 18.7 ns; the floored channels had a share of 0.
+        assert int(meta["diag.in_reach_channels"]) == 1081
+        assert int(meta["diag.floored_channels"]) == floored
 
 
 def test_histogram_is_deterministic():
