@@ -369,22 +369,21 @@ def _plate_state(cfg: ScenarioConfig):
     return apply_local(state, retarder(cfg.plate.delta, cfg.plate.alpha))
 
 
-def _numeric_curves(cfg: ScenarioConfig):
-    state = _plate_state(cfg)
-    plus = g2_numeric(state, cfg.fiber, PLUS_PLUS)
-    minus = g2_numeric(state, cfg.fiber, PLUS_MINUS)
-    return plus, minus
+def _numeric_curves(state, fiber: FiberChannel):
+    return g2_numeric(state, fiber, PLUS_PLUS), g2_numeric(state, fiber, PLUS_MINUS)
 
 
 def scenario_g2_curves(cfg: ScenarioConfig) -> list[Path]:
     scale = _require_dispersion(cfg)
-    plus, minus = _numeric_curves(cfg)
+    state = _plate_state(cfg)
+    plus, minus = _numeric_curves(state, cfg.fiber)
     ana_plus = g2_analytic(plus.tau_grid, scale, cfg.plate, "plus")
     ana_minus = g2_analytic(minus.tau_grid, scale, cfg.plate, "minus")
     num_peak = max(plus.g2.max(), minus.g2.max())
     ana_peak = max(ana_plus.max(), ana_minus.max())
     meta = cfg.metadata("g2-curves")
     meta["normalization"] = "joint peak of the plus/minus pair"
+    meta["diag.norm_residual"] = abs(state.norm() - 1.0)
     out = _out_dir(cfg)
     paths = []
     for name, result, ana in (("plus", plus, ana_plus), ("minus", minus, ana_minus)):
@@ -453,6 +452,7 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
             f"psi- fidelity {res.psi_minus_fidelity:.6f}"
         )
     meta = cfg.metadata("bell-postselect")
+    meta["diag.norm_residual"] = abs(state.norm() - 1.0)
     # below pi/4 the window-to-band map tau = 2 k2 z Omega does not hold
     meta["diag.chirp_edge_step_rad"] = chirp_edge_step(cfg.grid, cfg.fiber)
     path = _out_dir(cfg) / "bell_postselect.csv"
@@ -516,7 +516,7 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
                 * det.efficiency_1 * det.efficiency_2 / 2.0, "pairs", _MAX_POISSON_TOTAL)
     _check_work("expected background total from detector.dark_rate_per_channel_hz",
                 det.dark_background_rate * acquisition * n_channels, "counts", _MAX_POISSON_TOTAL)
-    plus, minus = _numeric_curves(cfg)
+    plus, minus = _numeric_curves(_plate_state(cfg), cfg.fiber)
     common = dict(
         detectors=det,
         pair_rate=pair_rate,

@@ -47,6 +47,7 @@ def test_g2_curves_outputs(tmp_path):
         assert gap < 1e-6
         assert meta["arm"] == arm
         assert float(meta["derived.tau_f_s"]) == pytest.approx(TAU_F, rel=1e-12)
+        assert 0.0 <= float(meta["diag.norm_residual"]) < 1e-12
         # analytic column is reproducible from the stored delay axis
         tau = np.asarray(columns["tau_s"])
         ref = g2_analytic(tau, TAU_F, which=arm)
@@ -139,6 +140,7 @@ def test_bell_postselect_reports_fidelities(tmp_path, capsys):
     assert minus_fid[rows["psi_minus"]] > 0.999
     # each narrow window keeps a small share of the pairs
     assert all(0.0 < f < 0.1 for f in columns["selected_fraction"])
+    assert 0.0 <= float(meta["diag.norm_residual"]) < 1e-12
 
 
 @pytest.mark.parametrize("overrides, step", [((), 1.71e4), (("--grid.n=2097152",), 4.16),
@@ -356,7 +358,7 @@ def test_histogram_files_match_one_arm_at_a_time(tmp_path, overrides):
         transmittance=transmittance(cfg.fiber) ** 2,
     )
     hists = {}
-    for arm, (name, curve) in enumerate(zip(("plus", "minus"), cli._numeric_curves(cfg))):
+    for arm, (name, curve) in enumerate(zip(("plus", "minus"), cli._numeric_curves(cli._plate_state(cfg), cfg.fiber))):
         seed = int(np.random.SeedSequence([cfg.seed, arm]).generate_state(1, np.uint64)[0])
         hists[name] = simulate_histogram(curve, seed=seed, **common)
     window = PostSelectionWindow(0.0, cfg["histogram.visibility_half_width_s"])
