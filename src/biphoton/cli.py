@@ -337,15 +337,18 @@ def _out_dir(cfg: ScenarioConfig) -> Path:
 
 
 # Work bounds of one run, checked before anything is allocated.  Measured
-# tracemalloc peaks: a grid point takes about 121 bytes in g2-curves and 122 in
+# tracemalloc peaks: a grid point takes about 121 bytes in g2-curves and 140 in
 # histogram at 2^16 points (0.6 in bell-postselect), so 2^22 points cost about
-# 0.5 GiB; the histogram's channel-law temporaries, about 3 MiB at any size,
+# 0.5 to 0.6 GiB; the histogram's channel-law temporaries, about 3 MiB at any size,
 # are set by coincidence._CHUNK.  A plate-surface row takes about 104 bytes, so
-# 2^22 rows cost about 0.4 GiB; a histogram channel about 56 bytes (both
-# arms), so 2^22 channels cost 0.22 GiB; a walk step about 120 bytes (its
-# draws, the blocked prefix scan and the operator stack), so 2^22 steps cost
-# about 0.5 GiB; a drift-series row about 240 bytes (operators, round trips
-# and the visibility einsum), so 2^20 rows cost about 0.25 GiB.
+# 2^22 rows cost about 0.4 GiB.  A histogram channel takes about 74 bytes, both
+# arms' channel laws and shares being held at once, so 2^22 channels cost
+# 0.29 GiB; that is the peak's growth from 2^18 to 2^19 channels, as at 2^16
+# channels the 5.1 MiB peak is still mostly the channel-law temporaries.  A
+# walk step takes about 120 bytes (its draws, the blocked prefix scan and the
+# operator stack), so 2^22 steps cost about 0.5 GiB; a drift-series row about
+# 240 bytes (operators, round trips and the visibility einsum), so 2^20 rows
+# cost about 0.25 GiB.
 _MAX_GRID_N = 1 << 22
 _MAX_SURFACE_ROWS = 1 << 22
 _MAX_HISTOGRAM_CHANNELS = 1 << 22
