@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -65,36 +66,34 @@ def write_csvs(
     ``write_csv`` of that file alone.
     """
     tables = []
-    uses: dict[int, int] = {}
     for path, columns, metadata in files:
         names = list(columns)
         arrays = [np.asarray(columns[name]) for name in names]
-        n_rows = len(arrays[0])
-        if any(len(a) != n_rows for a in arrays):
+        if any(len(a) != len(arrays[0]) for a in arrays):
             raise ValueError("all columns must have the same length")
         lines = [f"# {key} = {format_value(value)}" for key, value in metadata.items()]
         lines.append(",".join(names))
-        tables.append((path, arrays, n_rows, "\n".join(lines) + "\n"))
-        for a in arrays:
-            uses[id(a)] = uses.get(id(a), 0) + 1
+        tables.append((path, "\n".join(lines) + "\n", arrays))
+    uses = Counter(id(a) for _, _, arrays in tables for a in arrays)
     with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
-                   for path, _, _, _ in tables]
-        for fh, (_, _, _, header) in zip(handles, tables):
-            fh.write(header)
-        for start in range(0, max((t[2] for t in tables), default=0), _BLOCK_ROWS):
+        handles = []
+        for path, header, _ in tables:
+            handles.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="\n")))
+            handles[-1].write(header)
+        n_rows = max((len(arrays[0]) for _, _, arrays in tables), default=0)
+        for start in range(0, n_rows, _BLOCK_ROWS):
             shared: dict[int, list[str]] = {}
-            for fh, (_, arrays, n_rows, _) in zip(handles, tables):
-                if start >= n_rows:
+            for fh, (_, _, arrays) in zip(handles, tables):
+                if start >= len(arrays[0]):
                     continue
                 texts = []
                 for a in arrays:
-                    if uses[id(a)] == 1:
-                        texts.append(_column_text(a[start:start + _BLOCK_ROWS]))
-                        continue
-                    if id(a) not in shared:  # a list, not a lazy map: several files read it
-                        shared[id(a)] = list(_column_text(a[start:start + _BLOCK_ROWS]))
-                    texts.append(shared[id(a)])
+                    text = shared.get(id(a))
+                    if text is None:
+                        text = _column_text(a[start:start + _BLOCK_ROWS])
+                        if uses[id(a)] > 1:  # a list, not a lazy map: several files read it
+                            text = shared[id(a)] = list(text)
+                    texts.append(text)
                 fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
