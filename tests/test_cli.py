@@ -358,7 +358,8 @@ def test_histogram_files_match_one_arm_at_a_time(tmp_path, overrides):
         transmittance=transmittance(cfg.fiber) ** 2,
     )
     hists = {}
-    for arm, (name, curve) in enumerate(zip(("plus", "minus"), cli._numeric_curves(cli._plate_state(cfg), cfg.fiber))):
+    curves = cli._numeric_curves(cli._plate_state(cfg), cfg.fiber)
+    for arm, (name, curve) in enumerate(zip(("plus", "minus"), curves)):
         seed = int(np.random.SeedSequence([cfg.seed, arm]).generate_state(1, np.uint64)[0])
         hists[name] = simulate_histogram(curve, seed=seed, **common)
     window = PostSelectionWindow(0.0, cfg["histogram.visibility_half_width_s"])
