@@ -192,6 +192,15 @@ def test_erf_is_elementwise():
         np.testing.assert_array_equal(np.concatenate(parts).view(np.uint64), whole[::step])
 
 
+@functools.lru_cache(maxsize=None)
+def scenario_curves(n):
+    """Both arms' far-field g2 of the default state on an n-point grid."""
+    crystal = CrystalParams(pump_wavelength=351e-9, gvm=2.0e-10, length=0.5e-3)
+    fiber = FiberChannel(k2=3.6e-26, geometric_length=240.0, passes="go_and_return")
+    state = pdc_state(crystal, FrequencyGrid(n=n, omega_max=8.0 * np.pi / crystal.tau0))
+    return g2_numeric(state, fiber, PLUS_PLUS), g2_numeric(state, fiber, PLUS_MINUS)
+
+
 def psi_math_erf(y, s):
     """The channel law's Psi by one math.erf call per term (the former route)."""
     out = np.maximum(y, 0.0)
@@ -203,11 +212,10 @@ def psi_math_erf(y, s):
 
 
 @pytest.mark.parametrize("n", [512, 1 << 16])
-def test_smeared_cdf_matches_math_erf_route(monkeypatch, crystal, fiber, n):
+def test_smeared_cdf_matches_math_erf_route(monkeypatch, n):
     # The histogram scenario's geometry: the far-field g2 of the default
     # state, 4,096 channels of tau_f / 20 and 1e-10 s jitter per detector.
-    grid = FrequencyGrid(n=n, omega_max=8.0 * np.pi / crystal.tau0)
-    curve = g2_numeric(pdc_state(crystal, grid), fiber, PLUS_PLUS)
+    curve = scenario_curves(n)[0]
     tau = curve.tau_grid
     edges = (np.arange(4097) - 2048 - 0.5) * (TAU_F / 20)
     args = (edges, tau, curve.g2, tau[1] - tau[0], math.sqrt(2.0) * 1e-10)
@@ -233,15 +241,6 @@ def smeared_cdf_one_curve(x, tau, weight, cell, s):
         psi = coincidence._psi(x[i, None] - bounds[k], s)
         cdf[i] += np.sum(weight[k[:, :-1]] * (psi[:, :-1] - psi[:, 1:]), axis=1) / cell
     return cdf / full[-1]
-
-
-@functools.lru_cache(maxsize=None)
-def scenario_curves(n):
-    """Both arms' far-field g2 of the default state on an n-point grid."""
-    crystal = CrystalParams(pump_wavelength=351e-9, gvm=2.0e-10, length=0.5e-3)
-    fiber = FiberChannel(k2=3.6e-26, geometric_length=240.0, passes="go_and_return")
-    state = pdc_state(crystal, FrequencyGrid(n=n, omega_max=8.0 * np.pi / crystal.tau0))
-    return g2_numeric(state, fiber, PLUS_PLUS), g2_numeric(state, fiber, PLUS_MINUS)
 
 
 @pytest.mark.parametrize("n, jitter, chunk", [
