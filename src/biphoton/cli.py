@@ -340,15 +340,16 @@ def _out_dir(cfg: ScenarioConfig) -> Path:
 # tracemalloc peaks: a grid point takes about 121 bytes in g2-curves and 140 in
 # histogram at 2^16 points (0.6 in bell-postselect), so 2^22 points cost about
 # 0.5 to 0.6 GiB; the histogram's channel-law temporaries, about 3 MiB at any size,
-# are set by coincidence._CHUNK.  A plate-surface row takes about 104 bytes, so
-# 2^22 rows cost about 0.4 GiB.  A histogram channel takes about 74 bytes, both
-# arms' channel laws and shares being held at once, so 2^22 channels cost
-# 0.29 GiB; that is the peak's growth from 2^18 to 2^19 channels, as at 2^16
-# channels the 5.1 MiB peak is still mostly the channel-law temporaries.  A
-# walk step takes about 120 bytes (its draws, the blocked prefix scan and the
-# operator stack), so 2^22 steps cost about 0.5 GiB; a drift-series row about
-# 240 bytes (operators, round trips and the visibility einsum), so 2^20 rows
-# cost about 0.25 GiB.
+# are set by coincidence._CHUNK.  A plate-surface row takes about 48 bytes on a
+# cube lattice and up to 80 with a single plate, whose g2 temporaries are as
+# long as the columns, so 2^22 rows cost at most about 0.33 GiB.  A histogram
+# channel takes about 74 bytes, both arms' channel laws and shares being held
+# at once, so 2^22 channels cost 0.29 GiB; that is the peak's growth from 2^18
+# to 2^19 channels, as at 2^16 channels the 5.1 MiB peak is still mostly the
+# channel-law temporaries.  A walk step takes about 120 bytes (its draws, the
+# blocked prefix scan and the operator stack), so 2^22 steps cost about 0.5 GiB;
+# a drift-series row about 250 bytes (operators, round trips and the
+# visibility's entry arrays), so 2^20 rows cost about 0.25 GiB.
 _MAX_GRID_N = 1 << 22
 _MAX_SURFACE_ROWS = 1 << 22
 _MAX_HISTOGRAM_CHANNELS = 1 << 22
@@ -416,22 +417,30 @@ def scenario_plate_surface(cfg: ScenarioConfig) -> list[Path]:
                              f"range (tau_f = {scale:.3g} s)")
     _check_work("surface.n_delta * surface.n_alpha * surface.n_tau", n_d * n_a * n_t, "rows",
                 _MAX_SURFACE_ROWS)
-    deltas = np.linspace(0.0, np.pi, n_d)
-    alphas = np.linspace(0.0, np.pi / 2.0, n_a, endpoint=False)
-    taus = np.linspace(-lobes * np.pi, lobes * np.pi, n_t) * scale
+    deltas = np.linspace(0.0, np.pi, n_d)[:, None, None]
+    alphas = np.linspace(0.0, np.pi / 2.0, n_a, endpoint=False)[None, :, None]
+    # The negative half mirrors the positive one and the middle sample of an odd
+    # axis is +0.0, so tau_s is antisymmetric bit for bit: g2 is even in tau,
+    # and both halves then write the same floats.
+    t = np.linspace(-lobes * np.pi, lobes * np.pi, n_t)
+    half = n_t // 2
+    t[:half] = -t[::-1][:half]
+    t[half : n_t - half] = 0.0
+    taus = (t * scale)[None, None, :]
     # Rows run delta outer, alpha, then tau inner; the angle columns keep the
     # lattice values, the plate canonicalizes them (delta = pi acts as 0).
-    d, a, t = np.meshgrid(deltas, alphas, taus, indexing="ij")
-    plate = RetarderSpec(d, a)
+    # g2 broadcasts over the lattice; each cell's arithmetic is that of its plate alone.
+    plate = RetarderSpec(deltas, alphas)
+    shape = (n_d, n_a, n_t)
     path = _out_dir(cfg) / "plate_surface.csv"
     write_csv(
         path,
         {
-            "delta_rad": d.ravel(),
-            "alpha_rad": a.ravel(),
-            "tau_s": t.ravel(),
-            "g2_plus": g2_analytic(t, scale, plate, "plus").ravel(),
-            "g2_minus": g2_analytic(t, scale, plate, "minus").ravel(),
+            "delta_rad": np.broadcast_to(deltas, shape).ravel(),
+            "alpha_rad": np.broadcast_to(alphas, shape).ravel(),
+            "tau_s": np.broadcast_to(taus, shape).ravel(),
+            "g2_plus": g2_analytic(taus, scale, plate, "plus").ravel(),
+            "g2_minus": g2_analytic(taus, scale, plate, "minus").ravel(),
         },
         cfg.metadata("plate-surface"),
     )

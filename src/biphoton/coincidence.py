@@ -33,7 +33,6 @@ from .csvio import write_csvs
 from .errors import DegenerateInputError, EmptyWindowError
 from .fiber import _STREAM_HISTOGRAM, DriftProcess, drift_operators
 from .jones import analyzer_vector, round_trip
-from .state import PSI_PLUS
 
 # Terms of the channel law evaluated at once: caps memory (and keeps the
 # temporaries in cache), never changes a result.
@@ -453,9 +452,18 @@ def channel_visibility(ops: np.ndarray) -> np.ndarray:
     Both photons pass the operator; the visibility (G++ - G+-) / (G++ + G+-)
     compares the +45/+45 and +45/-45 analyzer settings.  Returns shape (T,).
     """
-    # Amplitudes <e_+, e_y| (op x op) |psi+> for the analyzer pairs y = +, -.
-    e_p = analyzer_vector(np.pi / 4.0).conj()
-    e_y = np.stack([e_p, analyzer_vector(-np.pi / 4.0).conj()])
-    amp = np.einsum("a,tac,cd,yb,tbd->ty", e_p, ops, PSI_PLUS, e_y, ops, optimize=True)
-    g_plus, g_minus = (np.abs(amp) ** 2).T
+    (a, b), (c, d) = np.moveaxis(ops, (-2, -1), (0, 1))
+
+    def bra_times_op(theta: float):
+        # the (H, V) entries of <e_theta| op, one pair of arrays over the stack
+        e_h, e_v = analyzer_vector(theta).conj()
+        return e_h * a + e_v * c, e_h * b + e_v * d
+
+    # <e_+, e_y| (op x op) |psi+> for the analyzer pairs y = +, -, with
+    # psi+ = (HV + VH) / sqrt 2; the sqrt 2 drops out of the ratio.
+    p_h, p_v = bra_times_op(np.pi / 4.0)
+    g_plus, g_minus = (
+        np.abs(p_h * y_v + p_v * y_h) ** 2
+        for y_h, y_v in ((p_h, p_v), bra_times_op(-np.pi / 4.0))
+    )
     return (g_plus - g_minus) / (g_plus + g_minus)

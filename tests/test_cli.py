@@ -103,10 +103,12 @@ def test_plate_surface_matches_per_plate_loop(tmp_path):
     columns, meta = read_csv(tmp_path / "out" / "plate_surface.csv")
     scale = float(meta["derived.tau_f_s"])
     lobes = int(meta["config.surface.tau_half_range_lobes"])
-    # The original scenario: one plate at a time, delta outer, alpha, tau inner.
+    # The original scenario: one plate at a time, delta outer, alpha, tau inner,
+    # on linspace's positive half mirrored about a +0.0 middle sample (n_t is odd).
     deltas = np.linspace(0.0, np.pi, n_d)
     alphas = np.linspace(0.0, np.pi / 2.0, n_a, endpoint=False)
-    taus = np.linspace(-lobes * np.pi, lobes * np.pi, n_t) * scale
+    positive = np.linspace(-lobes * np.pi, lobes * np.pi, n_t)[n_t // 2 + 1:]
+    taus = np.concatenate([-positive[::-1], [0.0], positive]) * scale
     expected = {"delta_rad": [], "alpha_rad": [], "tau_s": [], "g2_plus": [], "g2_minus": []}
     for d in deltas:
         for a in alphas:
@@ -116,11 +118,9 @@ def test_plate_surface_matches_per_plate_loop(tmp_path):
             expected["tau_s"].append(taus)
             expected["g2_plus"].append(g2_analytic(taus, scale, plate, "plus"))
             expected["g2_minus"].append(g2_analytic(taus, scale, plate, "minus"))
-    for name in ("delta_rad", "alpha_rad", "tau_s"):
+    # the lattice is broadcast, not looped, but each cell's arithmetic is the same
+    for name in expected:
         np.testing.assert_array_equal(columns[name], np.concatenate(expected[name]))
-    for name in ("g2_plus", "g2_minus"):
-        np.testing.assert_allclose(columns[name], np.concatenate(expected[name]),
-                                   rtol=0.0, atol=1e-12)
     # delta = pi is written as pi but evaluated as the canonical delta = 0.
     block = n_a * n_t
     assert np.all(columns["delta_rad"][-block:] == np.pi)
@@ -257,9 +257,30 @@ def test_largest_allowed_grid_reaches_the_state(tmp_path, monkeypatch, capsys):
     assert "pdc_state reached" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_t", [7, 10, 1])
+def test_plate_surface_tau_axis_is_exactly_mirrored(tmp_path, n_t):
+    # At one lobe, linspace's 7- and 10-sample axes are not antisymmetric to
+    # the bit, and its one sample sits at -pi tau_f; the mirrored axis is, and
+    # g2, even in tau, then repeats its floats bit for bit across the middle.
+    n_d, n_a = 3, 2
+    assert run(tmp_path, "plate-surface", f"--surface.n_delta={n_d}",
+               f"--surface.n_alpha={n_a}", f"--surface.n_tau={n_t}",
+               "--surface.tau_half_range_lobes=1") == 0
+    columns, _ = read_csv(tmp_path / "out" / "plate_surface.csv")
+    tau = np.asarray(columns["tau_s"]).reshape(n_d * n_a, n_t)
+    np.testing.assert_array_equal(tau, -tau[:, ::-1])
+    assert np.all(tau[:, :n_t // 2] < 0.0)
+    if n_t % 2:
+        middle = tau[:, n_t // 2]
+        assert np.all(middle == 0.0) and not np.any(np.signbit(middle))
+    for name in ("g2_plus", "g2_minus"):
+        g = np.asarray(columns[name]).reshape(n_d * n_a, n_t)
+        np.testing.assert_array_equal(g, g[:, ::-1])
+
+
 def test_huge_plate_surface_is_config_error(tmp_path, monkeypatch, capsys):
-    # 8e9 rows: the lattice alone would ask np.meshgrid for 180 GiB
-    monkeypatch.setattr(cli.np, "meshgrid", fail)
+    # 8e9 rows: the five columns alone would take 300 GiB
+    monkeypatch.setattr(cli.np, "broadcast_to", fail)
     monkeypatch.setattr(cli, "g2_analytic", fail)
     overrides = ("--surface.n_delta=2000", "--surface.n_alpha=2000", "--surface.n_tau=2000")
     assert run(tmp_path, "plate-surface", *overrides) == 2

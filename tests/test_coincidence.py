@@ -34,6 +34,7 @@ from biphoton import (
     g2_analytic,
     g2_numeric,
     pdc_state,
+    random_unitary,
     simulate_histogram,
     simulate_histograms,
 )
@@ -617,6 +618,20 @@ def test_channel_visibility_of_known_operators():
     hwp = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     np.testing.assert_allclose(channel_visibility(np.stack([np.eye(2), hwp])), [1.0, -1.0],
                                atol=1e-15)
+
+
+def test_channel_visibility_matches_kron_route(rng):
+    # the entry arithmetic against |<e_+ e_y| kron(U, U) psi+>|^2 on the
+    # four-component vectors, one Haar U at a time
+    ops = np.stack([random_unitary(rng) for _ in range(200)])
+    psi = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    bras = [np.kron(analyzer_vector(np.pi / 4.0), analyzer_vector(theta)).conj()
+            for theta in (np.pi / 4.0, -np.pi / 4.0)]
+    expected = []
+    for u in ops:
+        g_plus, g_minus = (abs(bra @ np.kron(u, u) @ psi) ** 2 for bra in bras)
+        expected.append((g_plus - g_minus) / (g_plus + g_minus))
+    np.testing.assert_allclose(channel_visibility(ops), expected, rtol=0, atol=1e-14)
 
 
 def test_drift_series_is_deterministic():
