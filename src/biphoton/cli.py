@@ -11,7 +11,8 @@ overrides the configured seed (an explicit --sim.seed beats both).
 
 Every CSV written embeds the fully resolved configuration in '#' header
 lines, so a result file is reproducible from its own header.  Exit codes:
-0 success, 2 configuration problem, 3 runtime failure.
+0 success, 2 configuration problem (any ConfigurationError, also one the
+library raises inside a scenario), 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .coincidence import (
     DetectorParams,
     channel_visibility,
     estimate_visibility,
+    mean_pair_total,
     simulate_histograms,
     write_histograms,
 )
@@ -50,144 +52,124 @@ from .jones import RetarderSpec, retarder, round_trip, unitarity_residual
 from .state import CrystalParams, FrequencyGrid, apply_local, pdc_state
 
 
-class CliConfigError(Exception):
-    """Raised for any problem that should exit with status 2."""
-
-
 @dataclass(frozen=True)
 class _Entry:
     value: str
-    where: str  # "file:line", "command line", or "environment"
+    where: str  # "file:line", "command line", or "environment BIPHOTON_SEED"
 
 
-_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
 
-# section -> key -> (kind, constraint, description of the constraint)
-_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
+# section -> key -> (type, constraint).  The type is float, int, str or a tuple
+# of the allowed strings; a number must then satisfy the constraint, which is
+# also the text of its message ("" for any value).
+_SCHEMA: dict[str, dict[str, tuple[object, str]]] = {
     "crystal": {
-        "pump_wavelength_m": ("float", "positive"),
-        "gvm_s_per_m": ("float", "positive"),
-        "crystal_length_m": ("float", "positive"),
+        "pump_wavelength_m": (float, "> 0"),
+        "gvm_s_per_m": (float, "> 0"),
+        "crystal_length_m": (float, "> 0"),
     },
     "fiber": {
-        "k2_s2_per_m": ("float", "any"),
-        "geometric_length_m": ("float", "positive"),
-        "passes": ("choice:single,go_and_return", "any"),
-        "loss_db_per_km": ("float", "nonnegative"),
+        "k2_s2_per_m": (float, ""),
+        "geometric_length_m": (float, "> 0"),
+        "passes": (("single", "go_and_return"), ""),
+        "loss_db_per_km": (float, ">= 0"),
     },
     "drift": {
-        "correlation_time_s": ("float", "positive"),
-        "step_angle_scale_rad": ("float", "nonnegative"),
-        "time_step_s": ("float", "positive"),
+        "correlation_time_s": (float, "> 0"),
+        "step_angle_scale_rad": (float, ">= 0"),
+        "time_step_s": (float, "> 0"),
     },
     "plate": {
-        "delta_rad": ("float", "any"),
-        "alpha_rad": ("float", "any"),
+        "delta_rad": (float, ""),
+        "alpha_rad": (float, ""),
     },
     "grid": {
-        "n": ("int", "positive"),
-        "half_range_lobes": ("int", "positive"),
+        "n": (int, "> 0"),
+        "half_range_lobes": (int, "> 0"),
     },
     "detector": {
-        "jitter_sigma_s": ("float", "nonnegative"),
-        "efficiency_1": ("float", "unit_interval"),
-        "efficiency_2": ("float", "unit_interval"),
-        "dark_rate_per_channel_hz": ("float", "nonnegative"),
+        "jitter_sigma_s": (float, ">= 0"),
+        "efficiency_1": (float, "in [0, 1]"),
+        "efficiency_2": (float, "in [0, 1]"),
+        "dark_rate_per_channel_hz": (float, ">= 0"),
     },
     "histogram": {
-        "pair_rate_hz": ("float", "nonnegative"),
-        "acquisition_time_s": ("float", "positive"),
-        "channel_width_s": ("float", "positive"),
-        "n_channels": ("int", "positive"),
-        "visibility_half_width_s": ("float", "positive"),
+        "pair_rate_hz": (float, ">= 0"),
+        "acquisition_time_s": (float, "> 0"),
+        "channel_width_s": (float, "> 0"),
+        "n_channels": (int, "> 0"),
+        "visibility_half_width_s": (float, "> 0"),
     },
     "postselect": {
-        "half_width_s": ("float", "positive"),
+        "half_width_s": (float, "> 0"),
     },
     "drift_series": {
-        "duration_s": ("float", "positive"),
-        "sample_interval_s": ("float", "positive"),
+        "duration_s": (float, "> 0"),
+        "sample_interval_s": (float, "> 0"),
     },
     "surface": {
-        "n_delta": ("int", "positive"),
-        "n_alpha": ("int", "positive"),
-        "n_tau": ("int", "positive"),
-        "tau_half_range_lobes": ("int", "positive"),
+        "n_delta": (int, "> 0"),
+        "n_alpha": (int, "> 0"),
+        "n_tau": (int, "> 0"),
+        "tau_half_range_lobes": (int, "> 0"),
     },
     "sim": {
-        "seed": ("int", "nonnegative"),
-        "output_dir": ("str", "any"),
+        "seed": (int, ">= 0"),
+        "output_dir": (str, ""),
     },
 }
 
 
-def _parse_text(text: str, source: str) -> dict[str, dict[str, _Entry]]:
-    sections: dict[str, dict[str, _Entry]] = {}
-    current: dict[str, _Entry] | None = None
-    current_name = ""
+def _parse_text(text: str, source: str) -> dict[tuple[str, str], _Entry]:
+    """``(section, key) -> entry`` of a config file; an unknown section fails at its header."""
+    entries: dict[tuple[str, str], _Entry] = {}
+    sections: set[str] = set()
+    section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{source}:{lineno}"
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if not _KEY_RE.match(name):
-                raise CliConfigError(f"{source}:{lineno}: bad section name {name!r}")
-            if name in sections:
-                raise CliConfigError(f"{source}:{lineno}: duplicate section [{name}]")
-            current = sections.setdefault(name, {})
-            current_name = name
+            section = line[1:-1].strip()
+            if section not in _SCHEMA:
+                raise ConfigurationError(f"{where}: unknown section [{section}]")
+            if section in sections:
+                raise ConfigurationError(f"{where}: duplicate section [{section}]")
+            sections.add(section)
             continue
-        if "=" not in line:
-            raise CliConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if not _KEY_RE.match(key):
-            raise CliConfigError(f"{source}:{lineno}: bad key name {key!r}")
-        if current is None:
-            raise CliConfigError(f"{source}:{lineno}: key {key!r} appears before any [section]")
-        if key in current:
-            raise CliConfigError(
-                f"{source}:{lineno}: duplicate key {current_name}.{key}"
-            )
-        current[key] = _Entry(value, f"{source}:{lineno}")
-    return sections
+        if not eq:
+            raise ConfigurationError(f"{where}: expected 'key = value', got {raw.strip()!r}")
+        if section is None:
+            raise ConfigurationError(f"{where}: key {key!r} appears before any [section]")
+        if (section, key) in entries:
+            raise ConfigurationError(f"{where}: duplicate key {section}.{key}")
+        entries[section, key] = _Entry(value.strip(), where)
+    return entries
 
 
 def _convert(section: str, key: str, entry: _Entry):
     kind, constraint = _SCHEMA[section][key]
-    text = entry.value
-    if kind == "str":
-        value = text
-    elif kind == "int":
-        try:
-            value = int(text)
-        except ValueError:
-            raise CliConfigError(f"{entry.where}: {section}.{key}: not an integer: {text!r}")
-    elif kind == "float":
-        try:
-            value = float(text)
-        except ValueError:
-            raise CliConfigError(f"{entry.where}: {section}.{key}: not a number: {text!r}")
-        if not np.isfinite(value):
-            raise CliConfigError(f"{entry.where}: {section}.{key}: must be finite")
-    elif kind.startswith("choice:"):
-        choices = kind.split(":", 1)[1].split(",")
-        if text not in choices:
-            raise CliConfigError(
-                f"{entry.where}: {section}.{key}: must be one of {choices}, got {text!r}"
-            )
-        value = text
-    else:  # pragma: no cover - schema typo guard
-        raise AssertionError(kind)
-    if constraint == "positive" and not (isinstance(value, str) or value > 0):
-        raise CliConfigError(f"{entry.where}: {section}.{key}: must be > 0")
-    if constraint == "nonnegative" and not (isinstance(value, str) or value >= 0):
-        raise CliConfigError(f"{entry.where}: {section}.{key}: must be >= 0")
-    if constraint == "unit_interval" and not 0.0 <= value <= 1.0:
-        raise CliConfigError(f"{entry.where}: {section}.{key}: must be in [0, 1]")
+    prefix, text = f"{entry.where}: {section}.{key}", entry.value
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ConfigurationError(f"{prefix}: must be one of {list(kind)}, got {text!r}")
+        return text
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "not an integer" if kind is int else "not a number"
+        raise ConfigurationError(f"{prefix}: {what}: {text!r}") from None
+    if kind is float and not np.isfinite(value):
+        raise ConfigurationError(f"{prefix}: must be finite")
+    if not (constraint == ""
+            or constraint == "> 0" and value > 0
+            or constraint == ">= 0" and value >= 0
+            or constraint == "in [0, 1]" and 0.0 <= value <= 1.0):
+        raise ConfigurationError(f"{prefix}: must be {constraint}")
     return value
 
 
@@ -202,14 +184,6 @@ class ScenarioConfig:
 
     def __getitem__(self, dotted: str):
         return self.values[dotted]
-
-    @property
-    def seed(self) -> int:
-        return int(self.values["sim.seed"])
-
-    @property
-    def output_dir(self) -> Path:
-        return Path(str(self.values["sim.output_dir"]))
 
     def metadata(self, scenario: str) -> dict[str, object]:
         meta: dict[str, object] = {"scenario": scenario}
@@ -231,36 +205,28 @@ def _load_config(
     else:
         path = Path(config_path)
         if not path.is_file():
-            raise CliConfigError(f"config file not found: {config_path}")
+            raise ConfigurationError(f"config file not found: {config_path}")
         try:
             text = path.read_text("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            raise CliConfigError(f"cannot read {config_path}: {exc}")
+            raise ConfigurationError(f"cannot read {config_path}: {exc}") from exc
         source = str(path)
-    sections = _parse_text(text, source)
-
-    for name, keys in sections.items():
-        if name not in _SCHEMA:
-            raise CliConfigError(f"{source}: unknown section [{name}]")
-        for key, entry in keys.items():
-            if key not in _SCHEMA[name]:
-                raise CliConfigError(f"{entry.where}: unknown key {name}.{key}")
-
+    # The file, then BIPHOTON_SEED, then the command line: a later entry wins.
+    entries = _parse_text(text, source)
     env_seed = os.environ.get("BIPHOTON_SEED")
-    if env_seed is not None and ("sim", "seed") not in overrides:
-        overrides = dict(overrides)
-        overrides[("sim", "seed")] = _Entry(env_seed, "environment BIPHOTON_SEED")
-    for (sec, key), entry in overrides.items():
-        if sec not in _SCHEMA or key not in _SCHEMA[sec]:
-            raise CliConfigError(f"{entry.where}: unknown key {sec}.{key}")
-        sections.setdefault(sec, {})[key] = entry
-
+    if env_seed is not None:
+        entries["sim", "seed"] = _Entry(env_seed, "environment BIPHOTON_SEED")
+    entries.update(overrides)
+    for (section, key), entry in entries.items():
+        if key not in _SCHEMA.get(section, ()):
+            raise ConfigurationError(f"{entry.where}: unknown key {section}.{key}")
     values: dict[str, object] = {}
-    for sec, keys in _SCHEMA.items():
+    for section, keys in _SCHEMA.items():
         for key in keys:
-            if sec not in sections or key not in sections[sec]:
-                raise CliConfigError(f"{source}: missing required key {sec}.{key}")
-            values[f"{sec}.{key}"] = _convert(sec, key, sections[sec][key])
+            entry = entries.get((section, key))
+            if entry is None:
+                raise ConfigurationError(f"{source}: missing required key {section}.{key}")
+            values[f"{section}.{key}"] = _convert(section, key, entry)
 
     try:
         crystal = CrystalParams(
@@ -271,7 +237,7 @@ def _load_config(
         drift = DriftProcess(
             correlation_time=values["drift.correlation_time_s"],
             step_angle_scale=values["drift.step_angle_scale_rad"],
-            seed=int(values["sim.seed"]),
+            seed=values["sim.seed"],
             time_step=values["drift.time_step_s"],
         )
         fiber = FiberChannel(
@@ -292,16 +258,9 @@ def _load_config(
             efficiency_2=values["detector.efficiency_2"],
             dark_background_rate=values["detector.dark_rate_per_channel_hz"],
         )
-    except (ConfigurationError, ValueError, ArithmeticError) as exc:
-        raise CliConfigError(str(exc))
-    return ScenarioConfig(
-        crystal=crystal,
-        fiber=fiber,
-        grid=grid,
-        plate=plate,
-        detectors=detectors,
-        values=values,
-    )
+    except (ValueError, ArithmeticError) as exc:  # ConfigurationError is a ValueError
+        raise ConfigurationError(str(exc)) from exc
+    return ScenarioConfig(crystal, fiber, grid, plate, detectors, values)
 
 
 def _say(text: str) -> None:
@@ -320,10 +279,11 @@ def _say(text: str) -> None:
 def _require_dispersion(cfg: ScenarioConfig) -> float:
     scale = tau_f(cfg.fiber, cfg.crystal)
     if scale <= 0.0:
-        raise CliConfigError("fiber.k2_s2_per_m must be nonzero (and positive) for this scenario")
+        raise ConfigurationError(
+            "fiber.k2_s2_per_m must be nonzero (and positive) for this scenario")
     edge = 2.0 * cfg.fiber.k2 * cfg.fiber.z * cfg.grid.omega_max
     if not np.isfinite(2.0 * edge):  # the edge is at least pi * tau_f, the tau span twice that
-        raise CliConfigError(
+        raise ConfigurationError(
             f"fiber.k2_s2_per_m * fiber.geometric_length_m overflows the tau axis: "
             f"tau_f = {scale:.3g} s, tau span 4 k2 z omega_max = {2.0 * edge:.3g} s"
         )
@@ -331,7 +291,7 @@ def _require_dispersion(cfg: ScenarioConfig) -> float:
 
 
 def _out_dir(cfg: ScenarioConfig) -> Path:
-    d = cfg.output_dir
+    d = Path(cfg["sim.output_dir"])
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -364,7 +324,7 @@ _MAX_POISSON_TOTAL = 1 << 61
 def _check_work(what: str, amount: float, unit: str, cap: int) -> None:
     """Exit 2 before a run whose ``amount`` of work is more than ``cap`` (or nan)."""
     if not amount <= cap:
-        raise CliConfigError(f"{what} = {amount:.3g} {unit}, more than {cap}")
+        raise ConfigurationError(f"{what} = {amount:.3g} {unit}, more than {cap}")
 
 
 def _plate_state(cfg: ScenarioConfig):
@@ -407,14 +367,14 @@ def scenario_g2_curves(cfg: ScenarioConfig) -> list[Path]:
 
 def scenario_plate_surface(cfg: ScenarioConfig) -> list[Path]:
     scale = _require_dispersion(cfg)
-    n_d = int(cfg["surface.n_delta"])
-    n_a = int(cfg["surface.n_alpha"])
-    n_t = int(cfg["surface.n_tau"])
-    lobes = int(cfg["surface.tau_half_range_lobes"])
+    n_d = cfg["surface.n_delta"]
+    n_a = cfg["surface.n_alpha"]
+    n_t = cfg["surface.n_tau"]
+    lobes = cfg["surface.tau_half_range_lobes"]
     # linspace spans 2 lobes pi and the taus reach lobes pi tau_f; an int meets a float exactly
     if not lobes <= sys.float_info.max / (np.pi * max(2.0, scale)):
-        raise CliConfigError(f"surface.tau_half_range_lobes puts the tau range past the float "
-                             f"range (tau_f = {scale:.3g} s)")
+        raise ConfigurationError(f"surface.tau_half_range_lobes puts the tau range past the "
+                                 f"float range (tau_f = {scale:.3g} s)")
     _check_work("surface.n_delta * surface.n_alpha * surface.n_tau", n_d * n_a * n_t, "rows",
                 _MAX_SURFACE_ROWS)
     deltas = np.linspace(0.0, np.pi, n_d)[:, None, None]
@@ -450,7 +410,7 @@ def scenario_plate_surface(cfg: ScenarioConfig) -> list[Path]:
 def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
     scale = _require_dispersion(cfg)
     state = _plate_state(cfg)
-    half_width = float(cfg["postselect.half_width_s"])
+    half_width = cfg["postselect.half_width_s"]
     windows = {
         "psi_plus": PostSelectionWindow(0.0, half_width),
         "psi_minus": PostSelectionWindow(np.pi * scale / 2.0, half_width),
@@ -485,10 +445,10 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
 
 
 def scenario_drift_series(cfg: ScenarioConfig) -> list[Path]:
-    duration = float(cfg["drift_series.duration_s"])
-    interval = float(cfg["drift_series.sample_interval_s"])
+    duration = cfg["drift_series.duration_s"]
+    interval = cfg["drift_series.sample_interval_s"]
     _check_work("drift_series.duration_s / drift.time_step_s",
-                duration / float(cfg["drift.time_step_s"]), "walk steps", _MAX_DRIFT_STEPS)
+                duration / cfg["drift.time_step_s"], "walk steps", _MAX_DRIFT_STEPS)
     _check_work("drift_series.duration_s / drift_series.sample_interval_s", duration / interval,
                 "rows", _MAX_DRIFT_ROWS)
     times = np.arange(0.0, duration + interval / 2.0, interval)
@@ -517,15 +477,15 @@ def scenario_drift_series(cfg: ScenarioConfig) -> list[Path]:
 
 def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
     _require_dispersion(cfg)
-    n_channels = int(cfg["histogram.n_channels"])
+    n_channels = cfg["histogram.n_channels"]
     _check_work("histogram.n_channels", n_channels, "channels", _MAX_HISTOGRAM_CHANNELS)
     det = cfg.detectors
-    pair_rate = float(cfg["histogram.pair_rate_hz"])
-    acquisition = float(cfg["histogram.acquisition_time_s"])
+    pair_rate = cfg["histogram.pair_rate_hz"]
+    acquisition = cfg["histogram.acquisition_time_s"]
     pair_transmittance = transmittance(cfg.fiber) ** 2
     _check_work("expected pair total from histogram.pair_rate_hz",
-                pair_rate * acquisition * pair_transmittance
-                * det.efficiency_1 * det.efficiency_2 / 2.0, "pairs", _MAX_POISSON_TOTAL)
+                mean_pair_total(det, pair_rate, acquisition, pair_transmittance), "pairs",
+                _MAX_POISSON_TOTAL)
     _check_work("expected background total from detector.dark_rate_per_channel_hz",
                 det.dark_background_rate * acquisition * n_channels, "counts", _MAX_POISSON_TOTAL)
     plus, minus = _numeric_curves(_plate_state(cfg), cfg.fiber)
@@ -533,15 +493,15 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
         detectors=det,
         pair_rate=pair_rate,
         acquisition_time=acquisition,
-        channel_width=float(cfg["histogram.channel_width_s"]),
+        channel_width=cfg["histogram.channel_width_s"],
         n_channels=n_channels,
         transmittance=pair_transmittance,
     )
     # Arm seeds from SeedSequence([seed, arm]): no arm replays another seed's arm.
-    seeds = [int(np.random.SeedSequence([cfg.seed, arm]).generate_state(1, np.uint64)[0])
+    seeds = [int(np.random.SeedSequence([cfg["sim.seed"], arm]).generate_state(1, np.uint64)[0])
              for arm in (0, 1)]
     hist_plus, hist_minus = simulate_histograms([plus, minus], seeds=seeds, **common)
-    window = PostSelectionWindow(0.0, float(cfg["histogram.visibility_half_width_s"]))
+    window = PostSelectionWindow(0.0, cfg["histogram.visibility_half_width_s"])
     est = estimate_visibility(hist_plus, hist_minus, window)
     if est.background_channels:
         how = "background subtracted"
@@ -572,9 +532,8 @@ def _parse_overrides(extra: list[str]) -> dict[tuple[str, str], _Entry]:
     for arg in extra:
         m = _OVERRIDE_RE.match(arg)
         if not m:
-            raise CliConfigError(
-                f"unrecognized argument {arg!r} (overrides look like --section.key=value)"
-            )
+            raise ConfigurationError(
+                f"unrecognized argument {arg!r} (overrides look like --section.key=value)")
         sec, key, value = m.groups()
         overrides[(sec, key)] = _Entry(value, "command line")
     return overrides
@@ -597,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config, _parse_overrides(extra))
         paths = SCENARIOS[args.scenario](cfg)
-    except CliConfigError as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - boundary of the program

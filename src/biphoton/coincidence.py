@@ -259,6 +259,14 @@ def _smeared_cdf(x, tau: np.ndarray, weight: np.ndarray, cell: float, s: float):
     return (cdf / full[:, -1:]).reshape(weight.shape[:-1] + np.shape(x))
 
 
+def mean_pair_total(detectors: DetectorParams, pair_rate: float, acquisition_time: float,
+                    transmittance: float) -> float:
+    """pair_rate * acquisition_time * transmittance * eff1 * eff2 / 2: the factor 2
+    is the beam-splitter post-selection."""
+    return (pair_rate * acquisition_time * transmittance
+            * detectors.efficiency_1 * detectors.efficiency_2 / 2.0)
+
+
 def simulate_histograms(
     curves: Sequence[CorrelationResult],
     detectors: DetectorParams,
@@ -275,9 +283,8 @@ def simulate_histograms(
     is a piecewise-constant density over cells centered on the grid points,
     and the delay adds N(0, 2 jitter_sigma^2).  The result is an independent
     Poisson count per channel (and for underflow and overflow): the bin's
-    exact share of the density times the mean pair total
-    pair_rate * acquisition_time * transmittance * eff1 * eff2 / 2 (the
-    factor 2 is the beam-splitter post-selection); ``n_pairs`` is their sum.
+    exact share of the density times ``mean_pair_total``; ``n_pairs`` is
+    their sum.
     A bin [lo, hi) within reach of the signal, meeting [-r, r] with r the
     signal support plus _REACH jitter sigmas of the delay, has a share of at
     least _FLOOR, and every other bin a share of exactly 0; the histogram
@@ -306,8 +313,7 @@ def simulate_histograms(
         n_channels = 2 * half + 1
     zero_offset_channel = n_channels // 2
 
-    mean_pairs = (pair_rate * acquisition_time * transmittance
-                  * detectors.efficiency_1 * detectors.efficiency_2 / 2.0)
+    mean_pairs = mean_pair_total(detectors, pair_rate, acquisition_time, transmittance)
     # Channel j holds delays in [(j - zero - 1/2) w, (j - zero + 1/2) w).
     edges = (np.arange(n_channels + 1) - zero_offset_channel - 0.5) * channel_width
     s = math.sqrt(2.0) * detectors.jitter_sigma

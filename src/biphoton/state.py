@@ -150,7 +150,8 @@ def pdc_state(crystal: CrystalParams, grid: FrequencyGrid) -> BiphotonState:
     ``_sinc_sums`` takes the rest from the Omega > 0 half alone.
     """
     tau0 = crystal.tau0
-    if grid.omega_max * tau0 < np.pi:
+    # A grid of one lobe, (pi / tau0) * tau0, may round a few ulp below pi.
+    if grid.omega_max * tau0 < np.pi * (1.0 - 1e-15):
         raise ConfigurationError(
             "grid too narrow: omega_max * tau0 = "
             f"{grid.omega_max * tau0:.3g} < pi does not cover the main spectral lobe"

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton import (
+    ConfigurationError,
     CrystalParams,
     DriftProcess,
     FrequencyGrid,
@@ -248,6 +249,33 @@ def test_huge_grid_is_config_error(tmp_path, monkeypatch, capsys, scenario, n):
     assert not (tmp_path / "out").exists()
 
 
+def test_library_configuration_error_in_a_scenario_exits_2(tmp_path, monkeypatch, capsys):
+    def unusable(*args, **kwargs):
+        raise ConfigurationError("raised by the library")
+
+    monkeypatch.setattr(cli, "pdc_state", unusable)
+    assert run(tmp_path, "g2-curves") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "raised by the library" in err
+
+
+# 4.24e-12 s/m over 0.96 mm: (pi / tau0) * tau0 rounds one ulp below pi
+_ONE_LOBE_CRYSTAL = ("--grid.half_range_lobes=1", "--crystal.gvm_s_per_m=4.239606622777585e-12",
+                     "--crystal.crystal_length_m=0.0009621636944233743")
+
+
+@pytest.mark.parametrize("scenario, extra", [
+    ("g2-curves", ()),
+    # at one lobe the psi- window is centered midway between two grid samples, and the
+    # default 13.8 ps half-width reaches neither at this crystal's tau_f (16.9 ns)
+    ("bell-postselect", ("--postselect.half_width_s=3.4e-10",)),
+    ("histogram", ()),
+])
+def test_one_lobe_grid_runs(tmp_path, capsys, scenario, extra):
+    assert run(tmp_path, scenario, *_ONE_LOBE_CRYSTAL, *extra) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_largest_allowed_grid_reaches_the_state(tmp_path, monkeypatch, capsys):
     def reached(*args, **kwargs):
         raise RuntimeError("pdc_state reached")
@@ -381,7 +409,7 @@ def test_histogram_files_match_one_arm_at_a_time(tmp_path, overrides):
     hists = {}
     curves = cli._numeric_curves(cli._plate_state(cfg), cfg.fiber)
     for arm, (name, curve) in enumerate(zip(("plus", "minus"), curves)):
-        seed = int(np.random.SeedSequence([cfg.seed, arm]).generate_state(1, np.uint64)[0])
+        seed = int(np.random.SeedSequence([cfg["sim.seed"], arm]).generate_state(1, np.uint64)[0])
         hists[name] = simulate_histogram(curve, seed=seed, **common)
     window = PostSelectionWindow(0.0, cfg["histogram.visibility_half_width_s"])
     meta = cfg.metadata("histogram")
@@ -594,6 +622,23 @@ def test_unknown_section_is_config_error(tmp_path, capsys):
     assert "warp" in capsys.readouterr().err
 
 
+def test_unknown_section_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "weird.cfg"
+    cfg.write_text("[sim]\nseed = 4\n\n[warp]\nfactor = 9\n")
+    assert run(tmp_path, "g2-curves", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{cfg}:4: unknown section [warp]" in err
+
+
+@pytest.mark.parametrize("line", ["1abc = 3", "a b = 1"])
+def test_bad_key_name_is_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "bad_key.cfg"
+    cfg.write_text(f"[fiber]\n{line}\n")
+    assert run(tmp_path, "g2-curves", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{cfg}:2" in err
+
+
 def test_negative_length_is_config_error(tmp_path, capsys):
     assert run(tmp_path, "g2-curves", "--fiber.geometric_length_m=-5") == 2
     assert "config error" in capsys.readouterr().err
@@ -631,6 +676,6 @@ _ANY_VALUE = st.one_of(
 def test_any_override_loads_or_is_config_error(key, value):
     try:
         cfg = cli._load_config(None, {key: cli._Entry(value, "command line")})
-    except cli.CliConfigError:
+    except ConfigurationError:
         return
     assert isinstance(cfg, cli.ScenarioConfig)

@@ -189,6 +189,21 @@ def test_pdc_rejects_narrow_grid(crystal):
         pdc_state(crystal, narrow)
 
 
+def test_pdc_accepts_any_one_lobe_grid():
+    # (pi / tau0) * tau0 can round one ulp below pi; a one-lobe grid still covers the lobe
+    rng = np.random.default_rng(3)
+    below = 0
+    for gvm, length in zip(10.0 ** rng.uniform(-14, -8, 300), 10.0 ** rng.uniform(-5, -1, 300)):
+        crystal = CrystalParams(pump_wavelength=351e-9, gvm=gvm, length=length)
+        grid = FrequencyGrid(n=256, omega_max=1 * np.pi / crystal.tau0)
+        below += grid.omega_max * crystal.tau0 < np.pi
+        pdc_state(crystal, grid)
+    assert below > 0
+    crystal = CrystalParams(pump_wavelength=351e-9, gvm=2e-10, length=5e-4)
+    with pytest.raises(ConfigurationError, match="grid too narrow"):
+        pdc_state(crystal, FrequencyGrid(n=256, omega_max=0.9 * np.pi / crystal.tau0))
+
+
 def test_state_survives_pickle_and_deepcopy(crystal, grid):
     # the state holds data only, so a copy evaluates the same rows bit for bit
     state = pdc_state(crystal, grid)
