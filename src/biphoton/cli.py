@@ -46,7 +46,7 @@ from .correlation import (
     postselect,
 )
 from .csvio import write_csv
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EmptyWindowError
 from .fiber import DriftProcess, FiberChannel, drift_operators, tau_f, transmittance
 from .jones import RetarderSpec, retarder, round_trip, unitarity_residual
 from .state import CrystalParams, FrequencyGrid, apply_local, pdc_state
@@ -298,7 +298,7 @@ def _out_dir(cfg: ScenarioConfig) -> Path:
 
 # Work bounds of one run, checked before anything is allocated.  Measured
 # tracemalloc peaks: a grid point takes about 121 bytes in g2-curves and 140 in
-# histogram at 2^16 points (0.6 in bell-postselect), so 2^22 points cost about
+# histogram at 2^16 points (0.3 in bell-postselect at 2^21), so 2^22 points cost about
 # 0.5 to 0.6 GiB; the histogram's channel-law temporaries, about 3 MiB at any size,
 # are set by coincidence._CHUNK.  A plate-surface row takes about 48 bytes on a
 # cube lattice and up to 80 with a single plate, whose g2 temporaries are as
@@ -416,8 +416,16 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
         "psi_minus": PostSelectionWindow(np.pi * scale / 2.0, half_width),
     }
     results = {}
-    for name, window in windows.items():
-        results[name] = res = postselect(state, cfg.fiber, window)
+    for name, window in windows.items():  # both windows before any line is printed
+        try:
+            results[name] = postselect(state, cfg.fiber, window)
+        except EmptyWindowError as exc:
+            step = 2.0 * abs(cfg.fiber.k2 * cfg.fiber.z) * cfg.grid.domega
+            raise ConfigurationError(
+                f"postselect.half_width_s = {half_width:.3g} s: {name} window at "
+                f"{window.center:.6g} s: {exc} (grid tau step 2 |k2 z| dOmega = {step:.3g} s)"
+            ) from exc
+    for (name, window), res in zip(windows.items(), results.values()):
         _say(
             f"{name}: window center {window.center:.6g} s, "
             f"psi+ fidelity {res.psi_plus_fidelity:.6f}, "

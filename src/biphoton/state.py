@@ -9,6 +9,9 @@ the state stays that block times the two rows (Schmidt rank at most 2); the
 rows are evaluated in closed form where read, their 2x2 Gram matrix gives the norm.
 That matrix needs no np.sin over the grid: one sin/cos table of a block's
 offsets and the angle-addition rule give sin(k dOmega tau0) block by block.
+Blocks far from Omega = 0 are not summed sample by sample: there 1/k^2 is a
+15-term power series over the block (remainder below 2e-17 relative), so each
+block's sums are short forms in sin and cos of its start over the table's moments.
 """
 
 from __future__ import annotations
@@ -20,8 +23,11 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
 
-# Samples per block of the Gram pass in _sinc_sums: temporaries stay in cache.
-_BLOCK = 1 << 14
+# Samples per block of the Gram pass in _sinc_sums; blocks from k = _NEAR _BLOCK
+# on take _TERMS terms of a series in j / b < 1 / _NEAR.
+_BLOCK = 1 << 10
+_NEAR = 16
+_TERMS = 15
 
 
 def _sinc_sums(m: int, step: float) -> tuple[float, float]:
@@ -29,18 +35,44 @@ def _sinc_sums(m: int, step: float) -> tuple[float, float]:
 
     The k > 0 half is summed in blocks of ``_BLOCK`` from one table of
     sin(j step) and cos(j step), j < _BLOCK: a block starting at k = b takes
-    sin((b + j) step) = sin(b step) cos(j step) + cos(b step) sin(j step), with
-    sin(b step) and cos(b step) computed afresh, so no error carries between
-    blocks; the block sums are added exactly (fsum), so neither does rounding.
+    sin((b + j) step) = S cos(j step) + C sin(j step), with S = sin(b step) and
+    C = cos(b step) computed afresh, so no error carries between blocks.  Blocks
+    below k = _NEAR _BLOCK, and a partial last block, are summed term by term.
+    Every other block expands 1/(b + j)^2 = b^-2 sum_p (p + 1) (-j/b)^p over
+    p < _TERMS; as j/b < 1/16, the terms left out are below 2e-17 relative.
+    Its two sums are then quadratic and quartic forms in S and C over the
+    moments sum_j cos^u sin^v(j step) (j / _BLOCK)^p, u + v = 2 or 4, taken
+    from the table once per call, and Horner's rule in -_BLOCK / b sums the
+    series of all these blocks at once.  The block sums are added exactly (fsum).
     """
     offsets = np.arange(min(_BLOCK, m)) * step
     sin_j, cos_j = np.sin(offsets), np.cos(offsets)
+    n_far = max(m // _BLOCK - _NEAR, 0)  # full blocks from k = _NEAR _BLOCK + 1 on
     sums = []
-    for b in range(1, m + 1, _BLOCK):
+    for b in (*range(1, min(m, _NEAR * _BLOCK) + 1, _BLOCK),
+              *range(1 + (_NEAR + n_far) * _BLOCK, m + 1, _BLOCK)):
         size = min(_BLOCK, m + 1 - b)
         s2 = np.square(math.sin(b * step) * cos_j[:size] + math.cos(b * step) * sin_j[:size])
         w = s2 / np.square(np.arange(b, b + size, dtype=float))  # sinc^2 times step^2
         sums.append((w.sum(), w @ s2))
+    if n_far:
+        cs, c2, s2 = cos_j * sin_j, cos_j**2, sin_j**2
+        # rows of (S c + C s)^2, then of (S c + C s)^4, with the binomial weights
+        trig = np.stack((c2, 2.0 * cs, s2, c2**2, 4.0 * c2 * cs, 6.0 * cs**2, 4.0 * cs * s2, s2**2))
+        ratio, moments = np.arange(_BLOCK) / _BLOCK, np.empty((len(trig), _TERMS))
+        for p in range(_TERMS):  # pairwise row sums: every far block shares their rounding
+            moments[:, p] = (p + 1) * trig.sum(axis=1)
+            trig *= ratio
+        b = np.arange(n_far) * _BLOCK + (1.0 + _NEAR * _BLOCK)
+        S, C = np.sin(b * step), np.cos(b * step)
+        S2, SC, C2 = S * S, S * C, C * C
+        # per p, the quadratic and the quartic form: S^2, S C, C^2 and S^4 .. C^4
+        forms = (moments[:3].T @ np.stack((S2, SC, C2)),
+                 moments[3:].T @ np.stack((S2 * S2, S2 * SC, SC * SC, SC * C2, C2 * C2)))
+        x, series = -_BLOCK / b, [form[-1] for form in forms]
+        for p in range(_TERMS - 2, -1, -1):  # Horner's rule in x
+            series = [acc * x + form[p] for acc, form in zip(series, forms)]
+        sums.extend(zip(*(np.array(series) / b**2).tolist()))
     sinc2, sinc2_sin2 = (math.fsum(column) / step**2 for column in zip(*sums))
     # k = 0 (sinc 1, sine 0) counts once; the k < 0 half mirrors k > 0
     return 1.0 + 2.0 * sinc2, 2.0 * sinc2_sin2

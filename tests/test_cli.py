@@ -276,6 +276,15 @@ def test_one_lobe_grid_runs(tmp_path, capsys, scenario, extra):
     assert capsys.readouterr().err == ""
 
 
+def test_bell_window_between_grid_samples_is_config_error(tmp_path, capsys):
+    # the one-lobe psi- window falls midway between two samples 0.21 ns apart,
+    # and the default 13.8 ps half-width reaches neither
+    assert run(tmp_path, "bell-postselect", *_ONE_LOBE_CRYSTAL) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and "postselect.half_width_s" in err
+    assert "no grid samples" in err and "tau step" in err
+
+
 def test_largest_allowed_grid_reaches_the_state(tmp_path, monkeypatch, capsys):
     def reached(*args, **kwargs):
         raise RuntimeError("pdc_state reached")

@@ -119,10 +119,11 @@ def test_pdc_state_matches_dense_formula(crystal, n):
     assert np.all(amp[0, 0] == 0.0) and np.all(amp[1, 1] == 0.0)
 
 
-def test_norm_and_gram_are_exact_on_a_fine_grid(crystal):
+@pytest.mark.parametrize("lobes", [1, 8])
+def test_norm_and_gram_are_exact_on_a_fine_grid(crystal, lobes):
     # a narrow envelope on 2^21 samples: a BLAS dot over the grid put the
     # norm 3.2e-14 off; the Gram matrix of the rows gives it to rounding
-    grid = FrequencyGrid(n=2**21, omega_max=8.0 * np.pi / crystal.tau0)
+    grid = FrequencyGrid(n=2**21, omega_max=lobes * np.pi / crystal.tau0)
     st = pdc_state(crystal, grid)
     assert abs(st.norm() - 1.0) <= 4e-16
     rows = st.rows(0, grid.n_used)
@@ -139,17 +140,29 @@ def sinc_sums_by_fsum(m, step):
     return 1.0 + 2.0 * math.fsum(sinc2), 2.0 * math.fsum(sinc2 * np.square(sin))
 
 
-# m = n/2 - 1 at n = 256 (less than one block), at no power of two (a partial
-# last block, with three full ones before it) and at n = 2^21; the step is the
-# grid's, omega_max = 8 pi / tau0
-SINC_SIZES = [(127, 16.0 * np.pi / 254), (3 * 2**14 + 1234, 16.0 * np.pi / 100772),
-              (2**20 - 1, 16.0 * np.pi / (2**21 - 2))]
+def grid_step(n, lobes):
+    """dOmega tau0 on an n-point grid of omega_max = lobes pi / tau0."""
+    return 2.0 * lobes * np.pi / (n - 2)
 
 
-# blocks of 7 at 2^21 would be 150,000 Python-level blocks; the smaller sizes cover them
+# m = n/2 - 1 at n = 256 (less than one block); at no power of two, far blocks
+# then a partial last one; the first far block alone, then a partial one; at
+# n = 2^18, one and two lobes, and at n = 2^21, eight lobes and one (a block
+# spans 0.003 rad there, so every cos^u table row is close to 1); and at the
+# coarsest grid, step pi/2
+SINC_SIZES = [(127, grid_step(256, 8)), (3 * 2**14 + 1234, 16.0 * np.pi / 100772),
+              (17 * 2**10 + 517, grid_step(2**16, 8)),
+              (2**17 - 1, grid_step(2**18, 1)), (2**17 - 1, grid_step(2**18, 2)),
+              (2**20 - 1, grid_step(2**21, 8)), (2**20 - 1, grid_step(2**21, 1)),
+              (2**17 - 1, np.pi / 2)]
+
+
+# Blocks of 7 far out in a large grid take the series from a short table.  Blocks
+# of 2^16 sum every sample term by term; at step pi/2 their 2^16-term w @ s2
+# (sequential BLAS accumulation) is 3.6e-15 off, so that pair is left out.
 @pytest.mark.parametrize("m, step, block", [(m, step, block) for m, step in SINC_SIZES
                                             for block in (None, 7, 2**16)
-                                            if not (block == 7 and m > 2**16)])
+                                            if not (block == 2**16 and step == np.pi / 2)])
 def test_sinc_sums_match_fsum_of_closed_form(monkeypatch, m, step, block):
     if block is not None:
         monkeypatch.setattr(state_module, "_BLOCK", block)
