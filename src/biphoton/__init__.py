@@ -16,7 +16,6 @@ from .coincidence import (
     estimate_visibility,
     simulate_histogram,
     simulate_histograms,
-    write_histograms,
 )
 from .correlation import (
     PLUS_MINUS,
@@ -116,5 +115,4 @@ __all__ = [
     "transmittance",
     "unitarity_residual",
     "visibility",
-    "write_histograms",
 ]

@@ -34,7 +34,6 @@ from .coincidence import (
     estimate_visibility,
     mean_pair_total,
     simulate_histograms,
-    write_histograms,
 )
 from .correlation import (
     PLUS_MINUS,
@@ -45,7 +44,7 @@ from .correlation import (
     g2_numeric,
     postselect,
 )
-from .csvio import write_csv
+from .csvio import write_csv, write_csvs
 from .errors import ConfigurationError, EmptyWindowError
 from .fiber import DriftProcess, FiberChannel, drift_operators, tau_f, transmittance
 from .jones import RetarderSpec, retarder, round_trip, unitarity_residual
@@ -409,6 +408,11 @@ def scenario_plate_surface(cfg: ScenarioConfig) -> list[Path]:
 
 def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
     scale = _require_dispersion(cfg)
+    edge_step = chirp_edge_step(cfg.grid, cfg.fiber)
+    if edge_step < np.pi / 4.0:  # the window-to-band map tau = 2 k2 z Omega does not hold
+        raise ConfigurationError(
+            f"chirp edge step {edge_step:.3g} rad is below pi/4: raise |fiber.k2_s2_per_m| or "
+            f"fiber.geometric_length_m, or lower grid.n")
     state = _plate_state(cfg)
     half_width = cfg["postselect.half_width_s"]
     windows = {
@@ -433,8 +437,7 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
         )
     meta = cfg.metadata("bell-postselect")
     meta["diag.norm_residual"] = abs(state.norm() - 1.0)
-    # below pi/4 the window-to-band map tau = 2 k2 z Omega does not hold
-    meta["diag.chirp_edge_step_rad"] = chirp_edge_step(cfg.grid, cfg.fiber)
+    meta["diag.chirp_edge_step_rad"] = edge_step
     path = _out_dir(cfg) / "bell_postselect.csv"
     write_csv(
         path,
@@ -487,6 +490,10 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
     _require_dispersion(cfg)
     n_channels = cfg["histogram.n_channels"]
     _check_work("histogram.n_channels", n_channels, "channels", _MAX_HISTOGRAM_CHANNELS)
+    channel_width = cfg["histogram.channel_width_s"]
+    if not np.isfinite(n_channels * channel_width):  # the span of the channel edges
+        raise ConfigurationError(f"histogram.channel_width_s = {channel_width:.3g} s times "
+                                 f"histogram.n_channels = {n_channels} overflows the delay axis")
     det = cfg.detectors
     pair_rate = cfg["histogram.pair_rate_hz"]
     acquisition = cfg["histogram.acquisition_time_s"]
@@ -497,32 +504,38 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
     _check_work("expected background total from detector.dark_rate_per_channel_hz",
                 det.dark_background_rate * acquisition * n_channels, "counts", _MAX_POISSON_TOTAL)
     plus, minus = _numeric_curves(_plate_state(cfg), cfg.fiber)
-    common = dict(
-        detectors=det,
-        pair_rate=pair_rate,
-        acquisition_time=acquisition,
-        channel_width=cfg["histogram.channel_width_s"],
-        n_channels=n_channels,
-        transmittance=pair_transmittance,
-    )
     # Arm seeds from SeedSequence([seed, arm]): no arm replays another seed's arm.
     seeds = [int(np.random.SeedSequence([cfg["sim.seed"], arm]).generate_state(1, np.uint64)[0])
              for arm in (0, 1)]
-    hist_plus, hist_minus = simulate_histograms([plus, minus], seeds=seeds, **common)
+    hists = simulate_histograms([plus, minus], det, pair_rate, acquisition, channel_width, seeds,
+                                n_channels, pair_transmittance)
     window = PostSelectionWindow(0.0, cfg["histogram.visibility_half_width_s"])
-    est = estimate_visibility(hist_plus, hist_minus, window)
-    if est.background_channels:
-        how = "background subtracted"
-    else:
-        how = "background not subtracted: no channel beyond 3 signal supports"
+    est = estimate_visibility(*hists, window)
+    how = ("background subtracted" if est.background_channels
+           else "background not subtracted: no channel beyond 3 signal supports")
     _say(f"visibility {est.value:.4f} +- {est.sigma:.4f} ({how})")
     meta = cfg.metadata("histogram")
     meta["derived.pair_transmittance"] = pair_transmittance
     meta["diag.background_channels"] = est.background_channels
     out = _out_dir(cfg)
-    files = [(out / f"histogram_{name}.csv", hist, {**meta, "arm": name})
-             for name, hist in (("plus", hist_plus), ("minus", hist_minus))]
-    write_histograms(files)
+    # Both arms hold the same axis arrays, so csvio formats them once per block.
+    axes = {"channel_index": np.arange(n_channels), "tau_center_s": hists[0].tau_centers()}
+    files = []
+    for name, seed, hist in zip(("plus", "minus"), seeds, hists):
+        header = {
+            "seed": seed, "channel_width_s": channel_width, "n_channels": n_channels,
+            "zero_offset_channel": hist.zero_offset_channel, "acquisition_time_s": acquisition,
+            "pair_rate_hz": pair_rate, "transmittance": pair_transmittance,
+            "jitter_sigma_s": det.jitter_sigma, "efficiency_1": det.efficiency_1,
+            "efficiency_2": det.efficiency_2, "dark_background_rate_hz": det.dark_background_rate,
+            "n_pairs": hist.n_pairs, "n_background": hist.n_background,
+            "underflow": hist.underflow, "overflow": hist.overflow,
+            "signal_support_s": hist.signal_support,
+            "diag.in_reach_channels": hist.in_reach_channels,
+            "diag.floored_channels": hist.floored_channels, **meta, "arm": name,
+        }
+        files.append((out / f"histogram_{name}.csv", {**axes, "counts": hist.counts}, header))
+    write_csvs(files)
     return [path for path, _, _ in files]
 
 

@@ -14,23 +14,20 @@ The erf terms depend on the channel edges, the g2 grid and the jitter alone,
 not on the curve: ``simulate_histograms`` evaluates each chunk of them once
 for all arms of one geometry (the ++ and +- analyzer settings) and sums it
 against each arm's density in turn, so every arm's counts are those of its
-own ``simulate_histogram`` call.  ``write_histograms`` writes the arms' CSVs
-in lockstep, with their shared channel_index and tau_center_s columns
-formatted once per block.
+own ``simulate_histogram`` call.  A ``Histogram`` holds the counts and their
+channel geometry; the command line writes them to CSV.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .correlation import CorrelationResult, PostSelectionWindow
-from .csvio import write_csvs
-from .errors import DegenerateInputError, EmptyWindowError
+from .errors import ConfigurationError, DegenerateInputError, EmptyWindowError
 from .fiber import _STREAM_HISTOGRAM, DriftProcess, drift_operators
 from .jones import analyzer_vector, round_trip
 
@@ -44,6 +41,9 @@ _REACH = 9.0
 # shares are exactly 0 decides how every later draw lines up: that must follow
 # from the geometry, not from rounding in the far tails of erf.
 _FLOOR = 1e-300
+# Widest delay smear sqrt(2) jitter_sigma, in g2 cells, that the channel law resolves: its
+# Psi differences cancel (a first negative share at 2^27.75 cells at the scenario defaults).
+_MAX_SMEAR_CELLS = 2.0**16
 
 # W. J. Cody's rational Chebyshev approximations to erf and erfc (Math. Comp.
 # 23, 631 (1969); the coefficients of SPECFUN's CALERF), highest degree first.
@@ -128,13 +128,11 @@ class DetectorParams:
 
 @dataclass
 class Histogram:
-    """Channel counts of one acquisition, with full provenance for the CSV."""
+    """Channel counts of one acquisition and their channel geometry."""
 
     channel_width: float
     n_channels: int
     counts: np.ndarray = field(repr=False)
-    acquisition_time: float
-    seed: int
     zero_offset_channel: int
     underflow: int = 0
     overflow: int = 0
@@ -143,9 +141,6 @@ class Histogram:
     signal_support: float = 0.0
     in_reach_channels: int = 0
     floored_channels: int = 0
-    detectors: DetectorParams = DetectorParams()
-    pair_rate: float = 0.0
-    transmittance: float = 1.0
 
     def __post_init__(self) -> None:
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -155,52 +150,7 @@ class Histogram:
             raise ValueError("zero_offset_channel out of range")
 
     def tau_centers(self) -> np.ndarray:
-        idx = np.arange(self.n_channels)
-        return (idx - self.zero_offset_channel) * self.channel_width
-
-    def to_csv(self, path, metadata: dict | None = None) -> None:
-        write_histograms([(path, self, metadata)])
-
-    def _csv_metadata(self) -> dict[str, object]:
-        """The acquisition's provenance, one CSV header line each."""
-        return {
-            "seed": self.seed,
-            "channel_width_s": self.channel_width,
-            "n_channels": self.n_channels,
-            "zero_offset_channel": self.zero_offset_channel,
-            "acquisition_time_s": self.acquisition_time,
-            "pair_rate_hz": self.pair_rate,
-            "transmittance": self.transmittance,
-            "jitter_sigma_s": self.detectors.jitter_sigma,
-            "efficiency_1": self.detectors.efficiency_1,
-            "efficiency_2": self.detectors.efficiency_2,
-            "dark_background_rate_hz": self.detectors.dark_background_rate,
-            "n_pairs": self.n_pairs,
-            "n_background": self.n_background,
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-            "signal_support_s": self.signal_support,
-            "diag.in_reach_channels": self.in_reach_channels,
-            "diag.floored_channels": self.floored_channels,
-        }
-
-
-def write_histograms(files: Iterable[tuple[str | os.PathLike, Histogram, dict | None]]) -> None:
-    """Write each (path, histogram, extra metadata) to its CSV, all in lockstep.
-
-    Histograms of one channel geometry hold the same channel_index and
-    tau_center_s arrays, so csvio formats those columns once per block.
-    """
-    axes: dict[tuple, dict[str, np.ndarray]] = {}
-    tables = []
-    for path, hist, metadata in files:
-        key = (hist.n_channels, hist.zero_offset_channel, hist.channel_width)
-        if key not in axes:
-            axes[key] = {"channel_index": np.arange(hist.n_channels),
-                         "tau_center_s": hist.tau_centers()}
-        tables.append((path, {**axes[key], "counts": hist.counts},
-                       {**hist._csv_metadata(), **(metadata or {})}))
-    write_csvs(tables)
+        return (np.arange(self.n_channels) - self.zero_offset_channel) * self.channel_width
 
 
 def _cell_width(tau_grid: np.ndarray) -> float:
@@ -242,8 +192,10 @@ def _smeared_cdf(x, tau: np.ndarray, weight: np.ndarray, cell: float, s: float):
     rows = weight.reshape(-1, len(tau))
     reach = _REACH * s + cell / 2.0
     band = min(int(np.ceil(2.0 * reach / cell)) + 2, len(tau))
-    # Cells before first[i] lie wholly more than _REACH s below x[i].
-    first = np.clip(np.floor((x - reach - tau[0]) / cell) + 1.0, 0, len(tau)).astype(np.int64)
+    # Cells before first[i] lie wholly more than _REACH s below x[i]; clip absorbs a far
+    # edge's overflowed quotient.
+    with np.errstate(over="ignore"):
+        first = np.clip(np.floor((x - reach - tau[0]) / cell) + 1.0, 0, len(tau)).astype(np.int64)
     full = np.concatenate([np.zeros((len(rows), 1)), np.cumsum(rows, axis=1)], axis=1)
     cdf = full[:, first]
     # Past the last cell: no weight, and bounds at a delay no x reaches.
@@ -291,6 +243,7 @@ def simulate_histograms(
     reports how many channels are within reach and how many were floored.
     The channel law of all curves comes from one pass over the grid, and each
     histogram is bit for bit the one ``simulate_histogram`` gives its curve.
+    Past _MAX_SMEAR_CELLS grid cells of sqrt(2) jitter_sigma, raises ConfigurationError.
     """
     for name, v in (("pair_rate", pair_rate), ("acquisition_time", acquisition_time)):
         if not np.isfinite(v) or v < 0.0:
@@ -307,6 +260,11 @@ def simulate_histograms(
     if any(float(np.sum(g2.g2)) <= 0.0 for g2 in curves):
         raise DegenerateInputError("g2 curve is identically zero; no density to sample")
     cell = _cell_width(tau)
+    s = math.sqrt(2.0) * detectors.jitter_sigma
+    if s > _MAX_SMEAR_CELLS * cell:
+        raise ConfigurationError(
+            f"jitter_sigma = {detectors.jitter_sigma:.3g} s: sqrt(2) jitter_sigma spans more "
+            f"than the {_MAX_SMEAR_CELLS:.0f} g2 cells of {cell:.3g} s the channel law resolves")
     support = float(np.max(np.abs(tau))) + cell / 2.0
     if n_channels is None:
         half = int(np.ceil((support - channel_width / 2.0) / channel_width))
@@ -316,7 +274,6 @@ def simulate_histograms(
     mean_pairs = mean_pair_total(detectors, pair_rate, acquisition_time, transmittance)
     # Channel j holds delays in [(j - zero - 1/2) w, (j - zero + 1/2) w).
     edges = (np.arange(n_channels + 1) - zero_offset_channel - 0.5) * channel_width
-    s = math.sqrt(2.0) * detectors.jitter_sigma
     cdfs = _smeared_cdf(edges, tau, np.stack([g2.g2 for g2 in curves]), cell, s)
     reach = support + _REACH * s
     in_reach = (np.append(-np.inf, edges) <= reach) & (np.append(edges, np.inf) > -reach)
@@ -334,8 +291,6 @@ def simulate_histograms(
             channel_width=channel_width,
             n_channels=n_channels,
             counts=pairs[1:-1] + background,
-            acquisition_time=acquisition_time,
-            seed=seed,
             zero_offset_channel=zero_offset_channel,
             underflow=int(pairs[0]),
             overflow=int(pairs[-1]),
@@ -344,9 +299,6 @@ def simulate_histograms(
             signal_support=support,
             in_reach_channels=int(np.count_nonzero(in_reach[1:-1])),
             floored_channels=int(np.count_nonzero(floored[1:-1])),
-            detectors=detectors,
-            pair_rate=pair_rate,
-            transmittance=transmittance,
         ))
     return histograms
 

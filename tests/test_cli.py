@@ -4,6 +4,7 @@ import io
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,24 +12,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton import (
+    PLUS_MINUS,
+    PLUS_PLUS,
     ConfigurationError,
     CrystalParams,
+    DetectorParams,
     DriftProcess,
+    FiberChannel,
     FrequencyGrid,
     PostSelectionWindow,
     RetarderSpec,
+    apply_local,
     cli,
     drift_operators,
     drift_timeseries,
     estimate_visibility,
     g2_analytic,
+    g2_numeric,
     pdc_state,
+    retarder,
     simulate_histogram,
     transmittance,
     unitarity_residual,
 )
 from biphoton import fiber as fiber_module
-from biphoton.csvio import read_csv
+from biphoton.csvio import read_csv, write_csv
 from biphoton.jones import ATOL_COMPOSED
 
 TAU_F = 6.912e-10
@@ -146,9 +154,17 @@ def test_bell_postselect_reports_fidelities(tmp_path, capsys):
 
 @pytest.mark.parametrize("overrides, step", [((), 1.71e4), (("--grid.n=2097152",), 4.16),
                                              (("--fiber.k2_s2_per_m=1e-30",), 0.476)])
-def test_bell_postselect_reports_chirp_edge_step(tmp_path, overrides, step):
+def test_bell_postselect_reports_chirp_edge_step(tmp_path, capsys, overrides, step):
     # |k2 z| omega_max dOmega; below pi/4 (the weak fiber) the far-field map
-    # from window to band does not hold, and the header is where that shows
+    # from window to band does not hold, and the scenario refuses to run
+    if step < np.pi / 4.0:
+        assert run(tmp_path, "bell-postselect", *overrides) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{step:.3g} rad" in err
+        assert all(key in err for key in ("fiber.k2_s2_per_m", "fiber.geometric_length_m",
+                                          "grid.n"))
+        assert not (tmp_path / "out").exists()
+        return
     assert run(tmp_path, "bell-postselect", *overrides) == 0
     _, meta = read_csv(tmp_path / "out" / "bell_postselect.csv")
     assert float(meta["diag.chirp_edge_step_rad"]) == pytest.approx(step, rel=2e-3)
@@ -400,35 +416,111 @@ def test_histogram_reports_visibility(tmp_path, capsys):
         assert int(meta["diag.background_channels"]) > 0
 
 
-@pytest.mark.parametrize("overrides", [(), ("--detector.jitter_sigma_s=0", "--grid.n=1024")])
-def test_histogram_files_match_one_arm_at_a_time(tmp_path, overrides):
-    # Oracle: the scenario as one simulate_histogram and one to_csv per arm.
-    argv = ("--sim.seed=5", *overrides)
-    assert run(tmp_path, "histogram", *argv) == 0
-    cfg = cli._load_config(None, cli._parse_overrides(
-        [*argv, f"--sim.output_dir={tmp_path / 'out'}"]))
-    common = dict(
-        detectors=cfg.detectors,
-        pair_rate=cfg["histogram.pair_rate_hz"],
-        acquisition_time=cfg["histogram.acquisition_time_s"],
-        channel_width=cfg["histogram.channel_width_s"],
-        n_channels=cfg["histogram.n_channels"],
-        transmittance=transmittance(cfg.fiber) ** 2,
-    )
-    hists = {}
-    curves = cli._numeric_curves(cli._plate_state(cfg), cfg.fiber)
-    for arm, (name, curve) in enumerate(zip(("plus", "minus"), curves)):
-        seed = int(np.random.SeedSequence([cfg["sim.seed"], arm]).generate_state(1, np.uint64)[0])
-        hists[name] = simulate_histogram(curve, seed=seed, **common)
-    window = PostSelectionWindow(0.0, cfg["histogram.visibility_half_width_s"])
-    meta = cfg.metadata("histogram")
-    meta["derived.pair_transmittance"] = common["transmittance"]
-    meta["diag.background_channels"] = estimate_visibility(
-        hists["plus"], hists["minus"], window).background_channels
-    for name, hist in hists.items():
-        hist.to_csv(tmp_path / f"{name}.csv", {**meta, "arm": name})
-        expected = (tmp_path / f"{name}.csv").read_bytes()
-        assert (tmp_path / "out" / f"histogram_{name}.csv").read_bytes() == expected
+# The histogram header's own keys, in order; the scenario's config lines follow.
+HISTOGRAM_KEYS = [
+    "seed", "channel_width_s", "n_channels", "zero_offset_channel", "acquisition_time_s",
+    "pair_rate_hz", "transmittance", "jitter_sigma_s", "efficiency_1", "efficiency_2",
+    "dark_background_rate_hz", "n_pairs", "n_background", "underflow", "overflow",
+    "signal_support_s", "diag.in_reach_channels", "diag.floored_channels",
+]
+
+
+def test_histogram_header_keys_in_order(tmp_path):
+    assert run(tmp_path, "histogram", "--histogram.acquisition_time_s=30") == 0
+    for arm in ("plus", "minus"):
+        _, meta = read_csv(tmp_path / "out" / f"histogram_{arm}.csv")
+        assert list(meta)[:19] == [*HISTOGRAM_KEYS, "scenario"]
+        assert list(meta)[-1] == "arm" and meta["arm"] == arm
+
+
+def test_histogram_arms_share_their_axis_arrays(tmp_path, monkeypatch):
+    # One write_csvs call, whose files hold the same axis arrays: csvio then
+    # formats each axis once per block for both.
+    calls = []
+    monkeypatch.setattr(cli, "write_csvs", lambda files: calls.append(list(files)))
+    assert run(tmp_path, "histogram") == 0
+    (plus, minus), = calls
+    for column in ("channel_index", "tau_center_s"):
+        assert plus[1][column] is minus[1][column]
+
+
+@pytest.mark.parametrize("overrides, n, jitter", [
+    ((), 512, 1e-10),
+    (("--detector.jitter_sigma_s=0", "--grid.n=1024"), 1024, 0.0),
+], ids=["overrides0", "overrides1"])
+def test_histogram_files_match_one_arm_at_a_time(tmp_path, overrides, n, jitter):
+    # Oracle: the default config through the library, one simulate_histogram
+    # and one write_csv per arm.
+    assert run(tmp_path, "histogram", "--sim.seed=5", *overrides) == 0
+    crystal = CrystalParams(pump_wavelength=351e-9, gvm=2.0e-10, length=0.5e-3)
+    fiber = FiberChannel(k2=3.6e-26, geometric_length=240.0, passes="go_and_return",
+                         loss_db_per_km=12.0)
+    state = pdc_state(crystal, FrequencyGrid(n=n, omega_max=8 * np.pi / crystal.tau0))
+    state = apply_local(state, retarder(0.0, 0.0))
+    pair_transmittance = transmittance(fiber) ** 2
+    detectors = DetectorParams(jitter_sigma=jitter, efficiency_1=0.6, efficiency_2=0.6,
+                               dark_background_rate=0.002)
+    arms = {}
+    for arm, (name, analyzer) in enumerate((("plus", PLUS_PLUS), ("minus", PLUS_MINUS))):
+        seed = int(np.random.SeedSequence([5, arm]).generate_state(1, np.uint64)[0])
+        arms[name] = seed, simulate_histogram(g2_numeric(state, fiber, analyzer), detectors,
+                                              5000.0, 600.0, 3.456e-11, seed, 4096,
+                                              pair_transmittance)
+    background_channels = estimate_visibility(
+        arms["plus"][1], arms["minus"][1], PostSelectionWindow(0.0, 1.728e-10)
+    ).background_channels
+    for name, (seed, hist) in arms.items():
+        got = tmp_path / "out" / f"histogram_{name}.csv"
+        # The resolved config lines, checked by other tests, as the scenario wrote them.
+        config = {key: value for key, value in read_csv(got)[1].items()
+                  if key.startswith(("config.", "derived."))}
+        config["derived.pair_transmittance"] = pair_transmittance
+        header = {
+            "seed": seed, "channel_width_s": 3.456e-11, "n_channels": 4096,
+            "zero_offset_channel": 2048, "acquisition_time_s": 600.0, "pair_rate_hz": 5000.0,
+            "transmittance": pair_transmittance, "jitter_sigma_s": jitter, "efficiency_1": 0.6,
+            "efficiency_2": 0.6, "dark_background_rate_hz": 0.002, "n_pairs": hist.n_pairs,
+            "n_background": hist.n_background, "underflow": hist.underflow,
+            "overflow": hist.overflow, "signal_support_s": hist.signal_support,
+            "diag.in_reach_channels": hist.in_reach_channels,
+            "diag.floored_channels": hist.floored_channels, "scenario": "histogram", **config,
+            "diag.background_channels": background_channels, "arm": name,
+        }
+        columns = {"channel_index": np.arange(4096),
+                   "tau_center_s": (np.arange(4096) - 2048) * 3.456e-11, "counts": hist.counts}
+        write_csv(tmp_path / f"{name}.csv", columns, header)
+        assert got.read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jitter", ["1e-5", "1e300"])
+def test_jitter_past_the_channel_law_is_config_error(tmp_path, capsys, jitter):
+    # sqrt(2) 1e-5 s is 2^17.7 cells of the default g2 grid
+    assert run(tmp_path, "histogram", f"--detector.jitter_sigma_s={jitter}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "jitter_sigma" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_channel_width_past_the_signal_puts_every_pair_at_zero_delay(tmp_path):
+    # The edge indices of the channel law overflow to inf (and are clipped), quietly.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "histogram", "--histogram.channel_width_s=1e300",
+                   "--detector.dark_rate_per_channel_hz=0") == 0
+    for arm in ("plus", "minus"):
+        columns, meta = read_csv(tmp_path / "out" / f"histogram_{arm}.csv")
+        expected = np.zeros(4096)
+        expected[2048] = int(meta["n_pairs"])
+        assert int(meta["n_pairs"]) > 0 and int(meta["underflow"]) == int(meta["overflow"]) == 0
+        np.testing.assert_array_equal(columns["counts"], expected)
+
+
+def test_overflowing_channel_span_is_config_error(tmp_path, capsys):
+    # 4,096 channels of 1e306 s span past the float range
+    assert run(tmp_path, "histogram", "--histogram.channel_width_s=1e306") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "histogram.channel_width_s" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_histogram_without_background_channels_says_so(tmp_path, capsys):
@@ -547,12 +639,18 @@ def test_tau0_underflow_is_config_error(tmp_path, capsys):
     assert err.startswith("config error:") and "tau0" in err and "gvm" in err
 
 
-@pytest.mark.parametrize("override", ["--postselect.half_width_s=1e300",
-                                      "--fiber.k2_s2_per_m=5e-324"])
-def test_bell_window_past_the_grid_keeps_every_sample(tmp_path, override):
+@pytest.mark.parametrize("override, code", [
+    pytest.param("--postselect.half_width_s=1e300", 0, id="--postselect.half_width_s=1e300"),
+    # the window edges would overflow here too, but the chirp edge step is far below pi/4
+    pytest.param("--fiber.k2_s2_per_m=5e-324", 2, id="--fiber.k2_s2_per_m=5e-324"),
+])
+def test_bell_window_past_the_grid_keeps_every_sample(tmp_path, capsys, override, code):
     # both edges map beyond the grid (overflowing to +-inf): the band is the
     # whole grid, not an error
-    assert run(tmp_path, "bell-postselect", override) == 0
+    assert run(tmp_path, "bell-postselect", override) == code
+    if code:
+        assert "chirp edge step" in capsys.readouterr().err
+        return
     columns, meta = read_csv(tmp_path / "out" / "bell_postselect.csv")
     assert list(columns["n_band_samples"]) == [int(meta["config.grid.n"]) - 1] * 2
     np.testing.assert_allclose(columns["selected_fraction"], 1.0, atol=1e-12)

@@ -15,6 +15,7 @@ from biphoton import (
     PLUS_MINUS,
     PLUS_PLUS,
     PSI_PLUS,
+    ConfigurationError,
     CorrelationResult,
     CrystalParams,
     DegenerateInputError,
@@ -130,6 +131,35 @@ def test_smeared_cdf_matches_quadrature(s):
     if 3 * TAU_F + 9 * s < 10 * TAU_F:
         # every cell is out of reach of the end points: exactly 0 and 1
         assert got[0] == 0.0 and got[-1] == 1.0
+
+
+def test_channel_law_at_the_jitter_bound():
+    # The scenario's geometry at the widest smear the law resolves: no share is
+    # negative, and each is within 1e-12 of a quadrature free of cancellation
+    # (8-point Gauss-Legendre of the normal CDF over every cell).
+    curves = scenario_curves(512)
+    tau = curves[0].tau_grid
+    cell = coincidence._cell_width(tau)
+    sigma = coincidence._MAX_SMEAR_CELLS * cell / math.sqrt(2.0)
+    while math.sqrt(2.0) * sigma > coincidence._MAX_SMEAR_CELLS * cell:
+        sigma = np.nextafter(sigma, 0.0)
+    s = math.sqrt(2.0) * sigma
+    edges = (np.arange(4097) - 2048 - 0.5) * (TAU_F / 20)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    t = (tau - cell / 2.0)[:, None] + cell * (nodes + 1.0) / 2.0
+    for curve, cdf in zip(curves, _smeared_cdf(edges, tau, np.stack([c.g2 for c in curves]),
+                                               cell, s)):
+        share = np.diff(cdf, prepend=0.0, append=1.0)
+        assert np.all(share >= 0.0) and abs(np.sum(share) - 1.0) < 1e-12
+        expected = np.array([np.sum(curve.g2[:, None] * weights * norm.cdf((x - t) / s))
+                             for x in edges]) / (2.0 * np.sum(curve.g2))
+        np.testing.assert_allclose(np.diff(cdf), np.diff(expected), rtol=0, atol=1e-12)
+    kwargs = dict(pair_rate=1e5, acquisition_time=1.0, channel_width=TAU_F / 20,
+                  n_channels=4096)
+    simulate_histograms(curves, DetectorParams(jitter_sigma=sigma), seeds=[1, 2], **kwargs)
+    wider = DetectorParams(jitter_sigma=sigma * (1.0 + 1e-9))
+    with pytest.raises(ConfigurationError, match="jitter_sigma"):
+        simulate_histograms(curves, wider, seeds=[1, 2], **kwargs)
 
 
 def test_smeared_cdf_does_not_depend_on_chunk_size(monkeypatch):
@@ -648,29 +678,3 @@ def test_drift_series_rejects_unknown_scenario():
     # drift_operators takes no layout, so the check is drift_timeseries' own
     with pytest.raises(ValueError, match="unknown scenario 'sideways'"):
         drift_timeseries("sideways", DriftProcess(seed=1), [0.0])
-
-
-def test_histogram_csv_round_trip(tmp_path):
-    curve = analytic_curve("plus")
-    h = simulate_histogram(
-        curve,
-        detectors=DetectorParams(jitter_sigma=1e-10, efficiency_1=0.6,
-                                 efficiency_2=0.6, dark_background_rate=0.5),
-        pair_rate=5e4,
-        acquisition_time=1.0,
-        channel_width=TAU_F / 20,
-        seed=20220225,
-        transmittance=0.25,
-    )
-    path = tmp_path / "hist.csv"
-    h.to_csv(path)
-    columns, metadata = read_csv(path)
-    np.testing.assert_array_equal(
-        np.asarray(columns["counts"], dtype=np.int64), h.counts
-    )
-    np.testing.assert_allclose(
-        columns["tau_center_s"], h.tau_centers(), rtol=1e-15
-    )
-    assert int(metadata["seed"]) == 20220225
-    assert float(metadata["jitter_sigma_s"]) == 1e-10
-    assert int(metadata["n_pairs"]) == h.n_pairs
