@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _column_text(a: np.ndarray) -> Iterable[str]:
+def _column_text(a: np.ndarray) -> list[str]:
     """format_value of every cell of a column, computed column-wise."""
     if a.ndim == 1 and a.dtype.kind == "f":
         # Keyed on bits, not values, so -0.0 stays apart from 0.0.
@@ -42,10 +41,9 @@ def _column_text(a: np.ndarray) -> Iterable[str]:
         text = np.array([repr(v) for v in unique.view(np.float64).tolist()], dtype=object)
         return text[inverse].tolist()
     # Python ints and bools format as their numpy scalars do, only faster.
-    # Lazily, so that no text per cell is held for the whole block.
     if a.ndim == 1 and a.dtype.kind in "iu":
-        return map(str, a.tolist())
-    return map(format_value, a.tolist() if a.ndim == 1 and a.dtype.kind == "b" else a)
+        return list(map(str, a.tolist()))
+    return list(map(format_value, a.tolist() if a.ndim == 1 and a.dtype.kind == "b" else a))
 
 
 def write_csv(
@@ -74,7 +72,7 @@ def write_csvs(
         lines = [f"# {key} = {format_value(value)}" for key, value in metadata.items()]
         lines.append(",".join(names))
         tables.append((path, "\n".join(lines) + "\n", arrays))
-    uses = Counter(id(a) for _, _, arrays in tables for a in arrays)
+    distinct = {id(a): a for _, _, arrays in tables for a in arrays}
     with contextlib.ExitStack() as stack:
         handles = []
         for path, header, _ in tables:
@@ -82,19 +80,13 @@ def write_csvs(
             handles[-1].write(header)
         n_rows = max((len(arrays[0]) for _, _, arrays in tables), default=0)
         for start in range(0, n_rows, _BLOCK_ROWS):
-            shared: dict[int, list[str]] = {}
+            text = {key: _column_text(a[start:start + _BLOCK_ROWS])
+                    for key, a in distinct.items() if start < len(a)}
             for fh, (_, _, arrays) in zip(handles, tables):
-                if start >= len(arrays[0]):
-                    continue
-                texts = []
-                for a in arrays:
-                    text = shared.get(id(a))
-                    if text is None:
-                        text = _column_text(a[start:start + _BLOCK_ROWS])
-                        if uses[id(a)] > 1:  # a list, not a lazy map: several files read it
-                            text = shared[id(a)] = list(text)
-                    texts.append(text)
-                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+                if start < len(arrays[0]):
+                    rows = zip(*(text[id(a)] for a in arrays))
+                    fh.write("\n".join(map(",".join, rows)) + "\n")
+            del text, rows  # free this block's text before the next block's is built
 
 
 def read_csv(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict[str, str]]:

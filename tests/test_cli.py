@@ -35,6 +35,7 @@ from biphoton import (
     transmittance,
     unitarity_residual,
 )
+from biphoton import coincidence
 from biphoton import fiber as fiber_module
 from biphoton.csvio import read_csv, write_csv
 from biphoton.jones import ATOL_COMPOSED
@@ -499,6 +500,40 @@ def test_jitter_past_the_channel_law_is_config_error(tmp_path, capsys, jitter):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "jitter_sigma" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_channel_law_past_its_term_budget_is_config_error(tmp_path, monkeypatch, capsys):
+    # 4,194,305 channel edges times 65,536 g2 cells per edge: 2.75e11 terms, hours of work.
+    def no_pass(y, s):
+        raise AssertionError("the channel law began its pass")
+
+    monkeypatch.setattr(coincidence, "_psi", no_pass)
+    assert run(tmp_path, "histogram", "--grid.n=65536", "--histogram.channel_width_s=1e-13",
+               "--detector.jitter_sigma_s=2e-8", "--histogram.n_channels=4194304") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "4194305 channel edges" in err and "65536 g2 cells per edge" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_channel_law_term_budget_admits_exactly_its_count(tmp_path, monkeypatch, capsys):
+    terms = []
+    psi = coincidence._psi
+
+    def counted(y, s):
+        terms.append(y.size)
+        return psi(y, s)
+
+    monkeypatch.setattr(coincidence, "_psi", counted)
+    assert run(tmp_path / "counted", "histogram") == 0
+    total = sum(terms)  # Psi terms of the default histogram's one channel-law pass
+    monkeypatch.setattr(coincidence, "_MAX_TERMS", total)
+    assert run(tmp_path / "at", "histogram") == 0
+    monkeypatch.setattr(coincidence, "_MAX_TERMS", total - 1)
+    capsys.readouterr()
+    assert run(tmp_path / "below", "histogram") == 2
+    assert "channel edges" in capsys.readouterr().err
+    assert not (tmp_path / "below" / "out").exists()
 
 
 def test_channel_width_past_the_signal_puts_every_pair_at_zero_delay(tmp_path):

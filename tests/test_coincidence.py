@@ -99,7 +99,7 @@ def test_channel_law_matches_event_sampler(sigma, dark_rate, n_channels):
     )
     law = np.concatenate([[h.underflow], h.counts, [h.overflow]])
     events = event_histogram(
-        curve, detectors, 5e5, h.channel_width, h.n_channels, h.zero_offset_channel, 4202
+        curve, detectors, 5e5, h.channel_width, len(h.counts), h.zero_offset_channel, 4202
     )
     if n_channels is not None:
         assert min(law[0], law[-1], events[0], events[-1]) > 1000

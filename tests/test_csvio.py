@@ -81,6 +81,24 @@ def test_lockstep_writer_matches_one_file_writes(tmp_path, monkeypatch, block):
         assert (tmp_path / name).read_bytes() == (tmp_path / f"alone_{name}").read_bytes()
 
 
+def test_lockstep_writer_formats_each_distinct_array_once_per_block(tmp_path, monkeypatch):
+    # Two files share "axis" and "shared", and the second holds "shared" twice:
+    # four distinct arrays over three blocks.
+    monkeypatch.setattr(csvio, "_BLOCK_ROWS", 4)
+    n_rows = 10
+    axis, shared = np.arange(n_rows), np.linspace(-1.0, 1.0, n_rows)
+    files = [
+        (tmp_path / "a.csv", {"axis": axis, "shared": shared, "own": np.ones(n_rows)}, {}),
+        (tmp_path / "b.csv", {"axis": axis, "shared": shared, "again": shared,
+                              "own": np.zeros(n_rows)}, {}),
+    ]
+    calls = []
+    column_text = csvio._column_text
+    monkeypatch.setattr(csvio, "_column_text", lambda a: calls.append(len(a)) or column_text(a))
+    write_csvs(files)
+    assert sorted(calls) == [2] * 4 + [4] * 8
+
+
 def test_lockstep_writer_checks_every_file_before_writing(tmp_path):
     good = {"a": [1.0, 2.0]}
     with pytest.raises(ValueError):
