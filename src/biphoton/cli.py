@@ -6,13 +6,13 @@ Scenarios: g2-curves, plate-surface, bell-postselect, drift-series,
 histogram.  CONFIG is a UTF-8 text file of ``[section]`` headers and
 ``key = value`` lines with '#' comments; the packaged default is used when
 it is omitted.  Values can be overridden on the command line with
-``--section.key=value``, and the environment variable BIPHOTON_SEED
-overrides the configured seed (an explicit --sim.seed beats both).
-
-Every CSV written embeds the fully resolved configuration in '#' header
-lines, so a result file is reproducible from its own header.  Exit codes:
-0 success, 2 configuration problem (any ConfigurationError, also one the
-library raises inside a scenario), 3 runtime failure.
+``--section.key=value``.  The file and the command line are a run's only
+inputs.  The '#' header lines of every CSV written are their one record:
+the fully resolved configuration (``config.*``) and the quantities derived
+from it (``derived.*``), so a result file is reproducible from its own
+header.  Exit codes: 0 success, 2 configuration problem (any
+ConfigurationError, also one the library raises inside a scenario), 3
+runtime failure.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .coincidence import (
     simulate_histograms,
 )
 from .correlation import (
+    FAR_FIELD_EDGE_STEP,
     PLUS_MINUS,
     PLUS_PLUS,
     PostSelectionWindow,
@@ -54,7 +55,7 @@ from .state import CrystalParams, FrequencyGrid, apply_local, pdc_state
 @dataclass(frozen=True)
 class _Entry:
     value: str
-    where: str  # "file:line", "command line", or "environment BIPHOTON_SEED"
+    where: str  # "file:line" or "command line"
 
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
@@ -176,6 +177,7 @@ def _convert(section: str, key: str, entry: _Entry):
 class ScenarioConfig:
     crystal: CrystalParams
     fiber: FiberChannel
+    drift: DriftProcess
     grid: FrequencyGrid
     plate: RetarderSpec
     detectors: DetectorParams
@@ -210,12 +212,8 @@ def _load_config(
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read {config_path}: {exc}") from exc
         source = str(path)
-    # The file, then BIPHOTON_SEED, then the command line: a later entry wins.
     entries = _parse_text(text, source)
-    env_seed = os.environ.get("BIPHOTON_SEED")
-    if env_seed is not None:
-        entries["sim", "seed"] = _Entry(env_seed, "environment BIPHOTON_SEED")
-    entries.update(overrides)
+    entries.update(overrides)  # the command line beats the file
     for (section, key), entry in entries.items():
         if key not in _SCHEMA.get(section, ()):
             raise ConfigurationError(f"{entry.where}: unknown key {section}.{key}")
@@ -244,7 +242,6 @@ def _load_config(
             geometric_length=values["fiber.geometric_length_m"],
             passes=values["fiber.passes"],
             loss_db_per_km=values["fiber.loss_db_per_km"],
-            drift=drift,
         )
         grid = FrequencyGrid(
             n=values["grid.n"],
@@ -259,7 +256,7 @@ def _load_config(
         )
     except (ValueError, ArithmeticError) as exc:  # ConfigurationError is a ValueError
         raise ConfigurationError(str(exc)) from exc
-    return ScenarioConfig(crystal, fiber, grid, plate, detectors, values)
+    return ScenarioConfig(crystal, fiber, drift, grid, plate, detectors, values)
 
 
 def _say(text: str) -> None:
@@ -409,7 +406,7 @@ def scenario_plate_surface(cfg: ScenarioConfig) -> list[Path]:
 def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
     scale = _require_dispersion(cfg)
     edge_step = chirp_edge_step(cfg.grid, cfg.fiber)
-    if edge_step < np.pi / 4.0:  # the window-to-band map tau = 2 k2 z Omega does not hold
+    if edge_step < FAR_FIELD_EDGE_STEP:  # the window-to-band map tau = 2 k2 z Omega does not hold
         raise ConfigurationError(
             f"chirp edge step {edge_step:.3g} rad is below pi/4: raise |fiber.k2_s2_per_m| or "
             f"fiber.geometric_length_m, or lower grid.n")
@@ -464,7 +461,7 @@ def scenario_drift_series(cfg: ScenarioConfig) -> list[Path]:
                 "rows", _MAX_DRIFT_ROWS)
     times = np.arange(0.0, duration + interval / 2.0, interval)
     # One walk serves both layouts: the round trips are built from the one-way operators.
-    u = drift_operators(cfg.fiber.drift, times)
+    u = drift_operators(cfg.drift, times)
     single = channel_visibility(u)
     both = channel_visibility(round_trip(u))
     _say(
@@ -523,16 +520,12 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
     files = []
     for name, seed, hist in zip(("plus", "minus"), seeds, hists):
         header = {
-            "seed": seed, "channel_width_s": channel_width, "n_channels": n_channels,
-            "zero_offset_channel": hist.zero_offset_channel, "acquisition_time_s": acquisition,
-            "pair_rate_hz": pair_rate, "transmittance": pair_transmittance,
-            "jitter_sigma_s": det.jitter_sigma, "efficiency_1": det.efficiency_1,
-            "efficiency_2": det.efficiency_2, "dark_background_rate_hz": det.dark_background_rate,
-            "n_pairs": hist.n_pairs, "n_background": hist.n_background,
-            "underflow": hist.underflow, "overflow": hist.overflow,
-            "signal_support_s": hist.signal_support,
+            **meta, "seed": seed, "channel_width_s": channel_width,
+            "zero_offset_channel": hist.zero_offset_channel, "n_pairs": hist.n_pairs,
+            "n_background": hist.n_background, "underflow": hist.underflow,
+            "overflow": hist.overflow, "signal_support_s": hist.signal_support,
             "diag.in_reach_channels": hist.in_reach_channels,
-            "diag.floored_channels": hist.floored_channels, **meta, "arm": name,
+            "diag.floored_channels": hist.floored_channels, "arm": name,
         }
         files.append((out / f"histogram_{name}.csv", {**axes, "counts": hist.counts}, header))
     write_csvs(files)

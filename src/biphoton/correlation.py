@@ -31,6 +31,8 @@ from .state import (PSI_MINUS, PSI_PLUS, BiphotonState, FrequencyGrid, _both_pho
 
 Normalization = Literal["raw"]
 
+FAR_FIELD_EDGE_STEP = np.pi / 4.0  # chirp_edge_step (rad) from which g2 is the far-field image
+
 
 @dataclass(frozen=True)
 class AnalyzerConfig:
@@ -136,7 +138,7 @@ def g2_numeric(
     e1, e2 = (analyzer_vector(theta).conj() for theta in (analyzer.theta1, analyzer.theta2))
     a = np.kron(e1, e2) @ state.pol @ state.rows(0, grid.n_used)  # projected amplitude
     k2z = fiber.k2 * fiber.z
-    if chirp_edge_step(grid, fiber) >= np.pi / 4.0:
+    if chirp_edge_step(grid, fiber) >= FAR_FIELD_EDGE_STEP:
         tau = 2.0 * k2z * grid.omegas
         g2 = np.abs(a) ** 2
         if tau[1] < tau[0]:

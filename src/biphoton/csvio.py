@@ -34,16 +34,16 @@ def format_value(value) -> str:
 
 
 def _column_text(a: np.ndarray) -> list[str]:
-    """format_value of every cell of a column, computed column-wise."""
-    if a.ndim == 1 and a.dtype.kind == "f":
+    """format_value of every cell of a 1-d column, computed column-wise."""
+    if a.dtype.kind == "f":
         # Keyed on bits, not values, so -0.0 stays apart from 0.0.
         unique, inverse = np.unique(a.astype(np.float64).view(np.uint64), return_inverse=True)
         text = np.array([repr(v) for v in unique.view(np.float64).tolist()], dtype=object)
         return text[inverse].tolist()
-    # Python ints and bools format as their numpy scalars do, only faster.
-    if a.ndim == 1 and a.dtype.kind in "iu":
+    # Python ints, bools and strs format as their numpy scalars do, only faster.
+    if a.dtype.kind in "iu":
         return list(map(str, a.tolist()))
-    return list(map(format_value, a.tolist() if a.ndim == 1 and a.dtype.kind == "b" else a))
+    return list(map(format_value, a.tolist()))
 
 
 def write_csv(
@@ -67,8 +67,8 @@ def write_csvs(
     for path, columns, metadata in files:
         names = list(columns)
         arrays = [np.asarray(columns[name]) for name in names]
-        if any(len(a) != len(arrays[0]) for a in arrays):
-            raise ValueError("all columns must have the same length")
+        if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
+            raise ValueError("all columns must be 1-d and have the same length")
         lines = [f"# {key} = {format_value(value)}" for key, value in metadata.items()]
         lines.append(",".join(names))
         tables.append((path, "\n".join(lines) + "\n", arrays))

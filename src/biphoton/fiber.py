@@ -152,7 +152,6 @@ class FiberChannel:
     geometric_length: float
     passes: Literal["single", "go_and_return"] = "single"
     loss_db_per_km: float = 0.0
-    drift: DriftProcess = DriftProcess()
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.k2):

@@ -423,21 +423,21 @@ def test_histogram_reports_visibility(tmp_path, capsys):
         assert int(meta["diag.background_channels"]) > 0
 
 
-# The histogram header's own keys, in order; the scenario's config lines follow.
+# The histogram arm's own keys, in order, between the scenario's lines and "arm".
 HISTOGRAM_KEYS = [
-    "seed", "channel_width_s", "n_channels", "zero_offset_channel", "acquisition_time_s",
-    "pair_rate_hz", "transmittance", "jitter_sigma_s", "efficiency_1", "efficiency_2",
-    "dark_background_rate_hz", "n_pairs", "n_background", "underflow", "overflow",
-    "signal_support_s", "diag.in_reach_channels", "diag.floored_channels",
+    "seed", "channel_width_s", "zero_offset_channel", "n_pairs", "n_background", "underflow",
+    "overflow", "signal_support_s", "diag.in_reach_channels", "diag.floored_channels",
 ]
 
 
 def test_histogram_header_keys_in_order(tmp_path):
     assert run(tmp_path, "histogram", "--histogram.acquisition_time_s=30") == 0
+    scenario_keys = [*cli._load_config(None, {}).metadata("histogram"),
+                     "derived.pair_transmittance", "diag.background_channels"]
     for arm in ("plus", "minus"):
         _, meta = read_csv(tmp_path / "out" / f"histogram_{arm}.csv")
-        assert list(meta)[:19] == [*HISTOGRAM_KEYS, "scenario"]
-        assert list(meta)[-1] == "arm" and meta["arm"] == arm
+        assert list(meta) == [*scenario_keys, *HISTOGRAM_KEYS, "arm"]
+        assert meta["arm"] == arm
 
 
 def test_histogram_arms_share_their_axis_arrays(tmp_path, monkeypatch):
@@ -483,15 +483,13 @@ def test_histogram_files_match_one_arm_at_a_time(tmp_path, overrides, n, jitter)
                   if key.startswith(("config.", "derived."))}
         config["derived.pair_transmittance"] = pair_transmittance
         header = {
-            "seed": seed, "channel_width_s": 3.456e-11, "n_channels": 4096,
-            "zero_offset_channel": 2048, "acquisition_time_s": 600.0, "pair_rate_hz": 5000.0,
-            "transmittance": pair_transmittance, "jitter_sigma_s": jitter, "efficiency_1": 0.6,
-            "efficiency_2": 0.6, "dark_background_rate_hz": 0.002, "n_pairs": hist.n_pairs,
-            "n_background": hist.n_background, "underflow": hist.underflow,
-            "overflow": hist.overflow, "signal_support_s": hist.signal_support,
+            "scenario": "histogram", **config, "diag.background_channels": background_channels,
+            "seed": seed, "channel_width_s": 3.456e-11, "zero_offset_channel": 2048,
+            "n_pairs": hist.n_pairs, "n_background": hist.n_background,
+            "underflow": hist.underflow, "overflow": hist.overflow,
+            "signal_support_s": hist.signal_support,
             "diag.in_reach_channels": hist.in_reach_channels,
-            "diag.floored_channels": hist.floored_channels, "scenario": "histogram", **config,
-            "diag.background_channels": background_channels, "arm": name,
+            "diag.floored_channels": hist.floored_channels, "arm": name,
         }
         columns = {"channel_index": np.arange(4096),
                    "tau_center_s": (np.arange(4096) - 2048) * 3.456e-11, "counts": hist.counts}
@@ -632,32 +630,27 @@ def test_histogram_work_does_not_grow_with_acquisition_time(tmp_path):
     assert run(tmp_path, "histogram", "--histogram.acquisition_time_s=1e12") == 0
     assert time.perf_counter() - start < 10.0
     _, meta = read_csv(tmp_path / "out" / "histogram_plus.csv")
-    mean = (float(meta["pair_rate_hz"]) * float(meta["acquisition_time_s"])
-            * float(meta["transmittance"]) * float(meta["efficiency_1"])
-            * float(meta["efficiency_2"]) / 2.0)
+    mean = (float(meta["config.histogram.pair_rate_hz"])
+            * float(meta["config.histogram.acquisition_time_s"])
+            * float(meta["derived.pair_transmittance"])
+            * float(meta["config.detector.efficiency_1"])
+            * float(meta["config.detector.efficiency_2"]) / 2.0)
     assert abs(int(meta["n_pairs"]) - mean) < 6.0 * np.sqrt(mean)
 
 
-def test_environment_seed_applies(tmp_path, monkeypatch):
-    monkeypatch.setenv("BIPHOTON_SEED", "777")
-    assert run(tmp_path, "histogram", "--histogram.acquisition_time_s=30") == 0
-    _, meta = read_csv(tmp_path / "out" / "histogram_plus.csv")
-    assert int(meta["config.sim.seed"]) == 777
+def test_environment_seed_is_ignored(tmp_path, monkeypatch):
+    # The config file and the command line are a run's only inputs.
+    def outputs(*args):
+        assert run(tmp_path, "histogram", "--histogram.acquisition_time_s=30", *args) == 0
+        return {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
 
-
-def test_explicit_seed_beats_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("BIPHOTON_SEED", "777")
-    assert run(tmp_path, "histogram", "--histogram.acquisition_time_s=30",
-               "--sim.seed=888") == 0
+    plain = outputs()
+    for value in ("777", "abc"):
+        monkeypatch.setenv("BIPHOTON_SEED", value)
+        assert outputs() == plain
+    outputs("--sim.seed=888")
     _, meta = read_csv(tmp_path / "out" / "histogram_plus.csv")
     assert int(meta["config.sim.seed"]) == 888
-
-
-def test_bad_environment_seed_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BIPHOTON_SEED", "abc")
-    assert run(tmp_path, "g2-curves") == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "BIPHOTON_SEED" in err
 
 
 @pytest.mark.parametrize("scenario", ["histogram", "drift-series"])
@@ -665,13 +658,6 @@ def test_negative_seed_is_config_error(tmp_path, capsys, scenario):
     assert run(tmp_path, scenario, "--sim.seed=-1") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "sim.seed" in err
-
-
-def test_negative_environment_seed_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BIPHOTON_SEED", "-1")
-    assert run(tmp_path, "histogram") == 2
-    err = capsys.readouterr().err
-    assert "BIPHOTON_SEED" in err and "sim.seed" in err
 
 
 def test_tau0_underflow_is_config_error(tmp_path, capsys):

@@ -112,6 +112,13 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
         write_csv(tmp_path / "r.csv", {"a": [1.0, 2.0], "b": [1.0]}, {})
 
 
+@pytest.mark.parametrize("column", [np.zeros((2, 2)), np.array([[True], [False]]), 1.0])
+def test_write_csv_rejects_columns_that_are_not_1d(tmp_path, column):
+    with pytest.raises(ValueError, match="1-d"):
+        write_csv(tmp_path / "m.csv", {"a": column}, {})
+    assert not (tmp_path / "m.csv").exists()
+
+
 metadata_keys = st.from_regex(r"[a-z][a-z0-9_.]{0,15}", fullmatch=True)
 metadata_values = st.one_of(
     st.integers(-(10**12), 10**12),
