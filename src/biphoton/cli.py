@@ -3,16 +3,18 @@
     biphoton SCENARIO [CONFIG] [--section.key=value ...]
 
 Scenarios: g2-curves, plate-surface, bell-postselect, drift-series,
-histogram.  CONFIG is a UTF-8 text file of ``[section]`` headers and
-``key = value`` lines with '#' comments; the packaged default is used when
-it is omitted.  Values can be overridden on the command line with
-``--section.key=value``.  The file and the command line are a run's only
-inputs.  The '#' header lines of every CSV written are their one record:
-the fully resolved configuration (``config.*``) and the quantities derived
-from it (``derived.*``), so a result file is reproducible from its own
-header.  Exit codes: 0 success, 2 configuration problem (any
-ConfigurationError, also one the library raises inside a scenario), 3
-runtime failure.
+histogram.  CONFIG is a UTF-8 text file (a byte-order mark is allowed) of
+``[section]`` headers and ``key = value`` lines with '#' comments; the
+packaged default is used when it is omitted.  Values can be overridden on
+the command line with ``--section.key=value``, each key once.  The file and
+the command line are a run's only inputs.  A scenario returns its CSV
+tables; ``main`` then creates ``sim.output_dir`` and writes them in one
+``write_csvs`` call.  The '#' header lines of every CSV written are their
+one record: the fully resolved configuration (``config.*``) and the
+quantities derived from it (``derived.*``), so a result file is
+reproducible from its own header.  Exit codes: 0 success, 2 configuration
+problem (any ConfigurationError, also one the library raises inside a
+scenario), 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .correlation import (
     g2_numeric,
     postselect,
 )
-from .csvio import write_csv, write_csvs
+from .csvio import write_csvs
 from .errors import ConfigurationError
 from .fiber import DriftProcess, FiberChannel, drift_operators, tau_f, transmittance
 from .jones import RetarderSpec, retarder, round_trip, unitarity_residual
@@ -57,6 +59,9 @@ class _Entry:
     value: str
     where: str  # "file:line" or "command line"
 
+
+# (file name, columns, header) of one CSV a scenario returns; main writes it under sim.output_dir.
+Table = tuple[str, dict[str, object], dict[str, object]]
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
 
@@ -208,7 +213,7 @@ def _load_config(
         if not path.is_file():
             raise ConfigurationError(f"config file not found: {config_path}")
         try:
-            text = path.read_text("utf-8")
+            text = path.read_text("utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read {config_path}: {exc}") from exc
         source = str(path)
@@ -286,12 +291,6 @@ def _require_dispersion(cfg: ScenarioConfig) -> float:
     return scale
 
 
-def _out_dir(cfg: ScenarioConfig) -> Path:
-    d = Path(cfg["sim.output_dir"])
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 # Work bounds of one run, checked before anything is allocated.  Measured
 # tracemalloc peaks: a grid point takes about 121 bytes in g2-curves and 140 in
 # histogram at 2^16 points (0.3 in bell-postselect at 2^21), so 2^22 points cost about
@@ -333,7 +332,7 @@ def _numeric_curves(state, fiber: FiberChannel):
     return g2_numeric(state, fiber, PLUS_PLUS), g2_numeric(state, fiber, PLUS_MINUS)
 
 
-def scenario_g2_curves(cfg: ScenarioConfig) -> list[Path]:
+def scenario_g2_curves(cfg: ScenarioConfig) -> list[Table]:
     scale = _require_dispersion(cfg)
     state = _plate_state(cfg)
     plus, minus = _numeric_curves(state, cfg.fiber)
@@ -344,24 +343,14 @@ def scenario_g2_curves(cfg: ScenarioConfig) -> list[Path]:
     meta = cfg.metadata("g2-curves")
     meta["normalization"] = "joint peak of the plus/minus pair"
     meta["diag.norm_residual"] = abs(state.norm() - 1.0)
-    out = _out_dir(cfg)
-    paths = []
-    for name, result, ana in (("plus", plus, ana_plus), ("minus", minus, ana_minus)):
-        path = out / f"g2_{name}.csv"
-        write_csv(
-            path,
-            {
-                "tau_s": result.tau_grid,
-                "g2_analytic": ana / ana_peak,
-                "g2_numeric": result.g2 / num_peak,
-            },
-            {**meta, "arm": name},
-        )
-        paths.append(path)
-    return paths
+    return [(f"g2_{name}.csv",
+             {"tau_s": result.tau_grid, "g2_analytic": ana / ana_peak,
+              "g2_numeric": result.g2 / num_peak},
+             {**meta, "arm": name})
+            for name, result, ana in (("plus", plus, ana_plus), ("minus", minus, ana_minus))]
 
 
-def scenario_plate_surface(cfg: ScenarioConfig) -> list[Path]:
+def scenario_plate_surface(cfg: ScenarioConfig) -> list[Table]:
     scale = _require_dispersion(cfg)
     n_d = cfg["surface.n_delta"]
     n_a = cfg["surface.n_alpha"]
@@ -388,9 +377,8 @@ def scenario_plate_surface(cfg: ScenarioConfig) -> list[Path]:
     # g2 broadcasts over the lattice; each cell's arithmetic is that of its plate alone.
     plate = RetarderSpec(deltas, alphas)
     shape = (n_d, n_a, n_t)
-    path = _out_dir(cfg) / "plate_surface.csv"
-    write_csv(
-        path,
+    return [(
+        "plate_surface.csv",
         {
             "delta_rad": np.broadcast_to(deltas, shape).ravel(),
             "alpha_rad": np.broadcast_to(alphas, shape).ravel(),
@@ -399,11 +387,10 @@ def scenario_plate_surface(cfg: ScenarioConfig) -> list[Path]:
             "g2_minus": g2_analytic(taus, scale, plate, "minus").ravel(),
         },
         cfg.metadata("plate-surface"),
-    )
-    return [path]
+    )]
 
 
-def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
+def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Table]:
     scale = _require_dispersion(cfg)
     edge_step = chirp_edge_step(cfg.grid, cfg.fiber)
     if edge_step < FAR_FIELD_EDGE_STEP:  # the window-to-band map tau = 2 k2 z Omega does not hold
@@ -435,9 +422,8 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
     meta = cfg.metadata("bell-postselect")
     meta["diag.norm_residual"] = abs(state.norm() - 1.0)
     meta["diag.chirp_edge_step_rad"] = edge_step
-    path = _out_dir(cfg) / "bell_postselect.csv"
-    write_csv(
-        path,
+    return [(
+        "bell_postselect.csv",
         {
             "target": list(results),
             "window_center_s": [window.center for window in windows.values()],
@@ -448,11 +434,10 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Path]:
             "selected_fraction": [res.selected_fraction for res in results.values()],
         },
         meta,
-    )
-    return [path]
+    )]
 
 
-def scenario_drift_series(cfg: ScenarioConfig) -> list[Path]:
+def scenario_drift_series(cfg: ScenarioConfig) -> list[Table]:
     duration = cfg["drift_series.duration_s"]
     interval = cfg["drift_series.sample_interval_s"]
     _check_work("drift_series.duration_s / drift.time_step_s",
@@ -470,20 +455,18 @@ def scenario_drift_series(cfg: ScenarioConfig) -> list[Path]:
     )
     meta = cfg.metadata("drift-series")
     meta["diag.max_unitarity_residual"] = unitarity_residual(u)
-    path = _out_dir(cfg) / "drift_series.csv"
-    write_csv(
-        path,
+    return [(
+        "drift_series.csv",
         {
             "t_s": times,
             "visibility_single_pass": single,
             "visibility_go_and_return": both,
         },
         meta,
-    )
-    return [path]
+    )]
 
 
-def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
+def scenario_histogram(cfg: ScenarioConfig) -> list[Table]:
     _require_dispersion(cfg)
     n_channels = cfg["histogram.n_channels"]
     _check_work("histogram.n_channels", n_channels, "channels", _MAX_HISTOGRAM_CHANNELS)
@@ -514,10 +497,9 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
     meta = cfg.metadata("histogram")
     meta["derived.pair_transmittance"] = pair_transmittance
     meta["diag.background_channels"] = est.background_channels
-    out = _out_dir(cfg)
     # Both arms hold the same axis arrays, so csvio formats them once per block.
     axes = {"channel_index": np.arange(n_channels), "tau_center_s": hists[0].tau_centers()}
-    files = []
+    tables = []
     for name, seed, hist in zip(("plus", "minus"), seeds, hists):
         header = {
             **meta, "seed": seed, "channel_width_s": channel_width,
@@ -527,9 +509,8 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Path]:
             "diag.in_reach_channels": hist.in_reach_channels,
             "diag.floored_channels": hist.floored_channels, "arm": name,
         }
-        files.append((out / f"histogram_{name}.csv", {**axes, "counts": hist.counts}, header))
-    write_csvs(files)
-    return [path for path, _, _ in files]
+        tables.append((f"histogram_{name}.csv", {**axes, "counts": hist.counts}, header))
+    return tables
 
 
 SCENARIOS = {
@@ -549,6 +530,8 @@ def _parse_overrides(extra: list[str]) -> dict[tuple[str, str], _Entry]:
             raise ConfigurationError(
                 f"unrecognized argument {arg!r} (overrides look like --section.key=value)")
         sec, key, value = m.groups()
+        if (sec, key) in overrides:
+            raise ConfigurationError(f"command line: duplicate key {sec}.{key}")
         overrides[(sec, key)] = _Entry(value, "command line")
     return overrides
 
@@ -569,14 +552,18 @@ def main(argv: list[str] | None = None) -> int:
     args, extra = parser.parse_known_args(argv)
     try:
         cfg = _load_config(args.config, _parse_overrides(extra))
-        paths = SCENARIOS[args.scenario](cfg)
+        tables = SCENARIOS[args.scenario](cfg)
+        out = Path(cfg["sim.output_dir"])
+        out.mkdir(parents=True, exist_ok=True)
+        files = [(out / name, columns, header) for name, columns, header in tables]
+        write_csvs(files)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - boundary of the program
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    for path in paths:
+    for path, _, _ in files:
         _say(str(path))
     return 0
 

@@ -330,10 +330,6 @@ class VisibilityEstimate:
 
     value: float
     sigma: float
-    s_plus: float
-    s_minus: float
-    background_plus: float
-    background_minus: float
     background_channels: int  # per arm; 0 means no background was subtracted
 
 
@@ -349,7 +345,7 @@ def _window_sums(hist: Histogram, window: PostSelectionWindow, support: float):
     raw = float(np.sum(hist.counts[in_window]))
     s = raw - n_win * bg_per_channel
     var = raw + (n_win**2) * (bg_per_channel / n_bg if n_bg else 0.0)
-    return s, var, bg_per_channel, n_bg
+    return s, var, n_bg
 
 
 def estimate_visibility(
@@ -367,23 +363,15 @@ def estimate_visibility(
     if plus.channel_width != minus.channel_width or len(plus.counts) != len(minus.counts):
         raise ValueError("histograms have mismatched channel geometry")
     support = max(plus.signal_support, minus.signal_support)
-    s_p, var_p, bg_p, n_bg = _window_sums(plus, window, support)
-    s_m, var_m, bg_m, _ = _window_sums(minus, window, support)
+    s_p, var_p, n_bg = _window_sums(plus, window, support)
+    s_m, var_m, _ = _window_sums(minus, window, support)
     total = s_p + s_m
     if total <= 0.0:
         value = sigma = float("nan")
     else:
         value = (s_p - s_m) / total
         sigma = 2.0 / total**2 * np.sqrt(s_m**2 * var_p + s_p**2 * var_m)
-    return VisibilityEstimate(
-        value=float(value),
-        sigma=float(sigma),
-        s_plus=s_p,
-        s_minus=s_m,
-        background_plus=bg_p,
-        background_minus=bg_m,
-        background_channels=n_bg,
-    )
+    return VisibilityEstimate(value=float(value), sigma=float(sigma), background_channels=n_bg)
 
 
 def drift_timeseries(

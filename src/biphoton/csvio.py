@@ -67,8 +67,8 @@ def write_csvs(
     for path, columns, metadata in files:
         names = list(columns)
         arrays = [np.asarray(columns[name]) for name in names]
-        if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
-            raise ValueError("all columns must be 1-d and have the same length")
+        if not arrays or any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
+            raise ValueError(f"{path}: a file needs one or more columns, all 1-d and of one length")
         lines = [f"# {key} = {format_value(value)}" for key, value in metadata.items()]
         lines.append(",".join(names))
         tables.append((path, "\n".join(lines) + "\n", arrays))

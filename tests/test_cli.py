@@ -37,7 +37,7 @@ from biphoton import (
 )
 from biphoton import coincidence
 from biphoton import fiber as fiber_module
-from biphoton.csvio import read_csv, write_csv
+from biphoton.csvio import read_csv, write_csv, write_csvs
 from biphoton.jones import ATOL_COMPOSED
 
 TAU_F = 6.912e-10
@@ -587,6 +587,30 @@ def test_closed_stdout_still_writes_outputs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+# Small sizes, as in acceptance's repeatable-outputs run.
+_SMALL = ["--histogram.acquisition_time_s=30", "--drift_series.duration_s=1800",
+          "--surface.n_delta=5", "--surface.n_alpha=4", "--surface.n_tau=21"]
+
+
+@pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
+def test_scenario_returns_its_tables_and_main_writes_them(tmp_path, capsys, scenario):
+    # A scenario touches no file; main writes exactly the tables it returns.
+    out = tmp_path / "out"
+    overrides = cli._parse_overrides([*_SMALL, f"--sim.output_dir={out}"])
+    tables = cli.SCENARIOS[scenario](cli._load_config(None, overrides))
+    assert list(tmp_path.iterdir()) == []
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    write_csvs([(direct / name, columns, header) for name, columns, header in tables])
+    capsys.readouterr()
+    assert cli.main([scenario, *_SMALL, f"--sim.output_dir={out}"]) == 0
+    names = [name for name, _, _ in tables]
+    assert capsys.readouterr().out.splitlines()[-len(names):] == [str(out / n) for n in names]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    for name in names:
+        assert (out / name).read_bytes() == (direct / name).read_bytes()
+
+
 def test_same_seed_is_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = ["histogram", "--histogram.acquisition_time_s=30",
@@ -740,6 +764,29 @@ def test_duplicate_key_is_config_error(tmp_path, capsys):
     cfg.write_text("[fiber]\nk2_s2_per_m = 1e-26\nk2_s2_per_m = 2e-26\n")
     assert run(tmp_path, "g2-curves", str(cfg)) == 2
     assert "duplicate" in capsys.readouterr().err
+
+
+def test_key_given_twice_on_the_command_line_is_config_error(tmp_path, capsys):
+    assert run(tmp_path, "g2-curves", "--sim.seed=1", "--sim.seed=2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: command line: duplicate key sim.seed")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_with_byte_order_mark_loads(tmp_path, monkeypatch):
+    # A BOM-prefixed copy of the packaged default writes what the default writes.
+    from importlib.resources import files
+
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + files("biphoton").joinpath("data/default.cfg").read_bytes())
+    outputs = []
+    for home, config in (("plain", []), ("bom", [str(bom)])):
+        (tmp_path / home).mkdir()
+        monkeypatch.chdir(tmp_path / home)
+        assert cli.main(["g2-curves", *config, "--sim.output_dir=out"]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / home / "out").iterdir()})
+    assert set(outputs[0]) == {"g2_plus.csv", "g2_minus.csv"}
+    assert outputs[1] == outputs[0]
 
 
 def test_key_before_section_is_config_error(tmp_path, capsys):

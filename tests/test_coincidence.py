@@ -534,7 +534,6 @@ def test_visibility_estimate_subtracts_background():
     hm = simulate_histogram(minus, noisy, seed=22, **kwargs)
     assert hp.n_background > 0
     est = estimate_visibility(hp, hm, w)
-    assert est.background_plus > 0
     assert est.background_channels > 0
 
     clean_p = simulate_histogram(plus, IDEAL, seed=21, **kwargs)

@@ -107,6 +107,13 @@ def test_lockstep_writer_checks_every_file_before_writing(tmp_path):
     assert not (tmp_path / "good.csv").exists()
 
 
+def test_lockstep_writer_refuses_a_file_without_columns(tmp_path):
+    with pytest.raises(ValueError, match="column"):
+        write_csvs([(tmp_path / "a.csv", {"x": [1, 2]}, {}), (tmp_path / "b.csv", {}, {"k": 1})])
+    assert not (tmp_path / "a.csv").exists()
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "r.csv", {"a": [1.0, 2.0], "b": [1.0]}, {})
