@@ -8,11 +8,13 @@ histogram.  CONFIG is a UTF-8 text file (a byte-order mark is allowed) of
 packaged default is used when it is omitted.  Values can be overridden on
 the command line with ``--section.key=value``, each key once.  The file and
 the command line are a run's only inputs.  A scenario returns its CSV
-tables; ``main`` then creates ``sim.output_dir`` and writes them in one
-``write_csvs`` call.  The '#' header lines of every CSV written are their
-one record: the fully resolved configuration (``config.*``) and the
+tables, whose headers hold its own lines only, and its report lines; it
+prints and writes nothing.  ``main`` puts the run's one record first in
+every header: the fully resolved configuration (``config.*``) and the
 quantities derived from it (``derived.*``), so a result file is
-reproducible from its own header.  Exit codes: 0 success, 2 configuration
+reproducible from its own header.  It then creates ``sim.output_dir``,
+writes every file in one ``write_csvs`` call and only then prints the
+report lines and the paths.  Exit codes: 0 success, 2 configuration
 problem (any ConfigurationError, also one the library raises inside a
 scenario), 3 runtime failure.
 """
@@ -60,10 +62,13 @@ class _Entry:
     where: str  # "file:line" or "command line"
 
 
-# (file name, columns, header) of one CSV a scenario returns; main writes it under sim.output_dir.
+# (file name, columns, header) of one CSV a scenario returns; main writes it under
+# sim.output_dir, the run record first in its header.
 Table = tuple[str, dict[str, object], dict[str, object]]
+# A scenario's tables and the report lines main prints once they are written.
+Result = tuple[list[Table], list[str]]
 
-_OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
+_OVERRIDE_RE = re.compile(r"--([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)=(.*)")
 
 # section -> key -> (type, constraint).  The type is float, int, str or a tuple
 # of the allowed strings; a number must then satisfy the constraint, which is
@@ -332,7 +337,7 @@ def _numeric_curves(state, fiber: FiberChannel):
     return g2_numeric(state, fiber, PLUS_PLUS), g2_numeric(state, fiber, PLUS_MINUS)
 
 
-def scenario_g2_curves(cfg: ScenarioConfig) -> list[Table]:
+def scenario_g2_curves(cfg: ScenarioConfig) -> Result:
     scale = _require_dispersion(cfg)
     state = _plate_state(cfg)
     plus, minus = _numeric_curves(state, cfg.fiber)
@@ -340,17 +345,16 @@ def scenario_g2_curves(cfg: ScenarioConfig) -> list[Table]:
     ana_minus = g2_analytic(minus.tau_grid, scale, cfg.plate, "minus")
     num_peak = max(plus.g2.max(), minus.g2.max())
     ana_peak = max(ana_plus.max(), ana_minus.max())
-    meta = cfg.metadata("g2-curves")
-    meta["normalization"] = "joint peak of the plus/minus pair"
-    meta["diag.norm_residual"] = abs(state.norm() - 1.0)
+    header = {"normalization": "joint peak of the plus/minus pair",
+              "diag.norm_residual": abs(state.norm() - 1.0)}
     return [(f"g2_{name}.csv",
              {"tau_s": result.tau_grid, "g2_analytic": ana / ana_peak,
               "g2_numeric": result.g2 / num_peak},
-             {**meta, "arm": name})
-            for name, result, ana in (("plus", plus, ana_plus), ("minus", minus, ana_minus))]
+             {**header, "arm": name})
+            for name, result, ana in (("plus", plus, ana_plus), ("minus", minus, ana_minus))], []
 
 
-def scenario_plate_surface(cfg: ScenarioConfig) -> list[Table]:
+def scenario_plate_surface(cfg: ScenarioConfig) -> Result:
     scale = _require_dispersion(cfg)
     n_d = cfg["surface.n_delta"]
     n_a = cfg["surface.n_alpha"]
@@ -386,11 +390,11 @@ def scenario_plate_surface(cfg: ScenarioConfig) -> list[Table]:
             "g2_plus": g2_analytic(taus, scale, plate, "plus").ravel(),
             "g2_minus": g2_analytic(taus, scale, plate, "minus").ravel(),
         },
-        cfg.metadata("plate-surface"),
-    )]
+        {},
+    )], []
 
 
-def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Table]:
+def scenario_bell_postselect(cfg: ScenarioConfig) -> Result:
     scale = _require_dispersion(cfg)
     edge_step = chirp_edge_step(cfg.grid, cfg.fiber)
     if edge_step < FAR_FIELD_EDGE_STEP:  # the window-to-band map tau = 2 k2 z Omega does not hold
@@ -403,25 +407,19 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Table]:
         "psi_plus": PostSelectionWindow(0.0, half_width),
         "psi_minus": PostSelectionWindow(np.pi * scale / 2.0, half_width),
     }
-    results = {}
-    for name, window in windows.items():  # both windows before any line is printed
+    results, report = {}, []
+    for name, window in windows.items():
         try:
-            results[name] = postselect(state, cfg.fiber, window)
+            res = results[name] = postselect(state, cfg.fiber, window)
         except ConfigurationError as exc:  # only an empty window: k2 z = 0 was refused above
             step = 2.0 * abs(cfg.fiber.k2 * cfg.fiber.z) * cfg.grid.domega
             raise ConfigurationError(
                 f"postselect.half_width_s = {half_width:.3g} s: {name} window at "
                 f"{window.center:.6g} s: {exc} (grid tau step 2 |k2 z| dOmega = {step:.3g} s)"
             ) from exc
-    for (name, window), res in zip(windows.items(), results.values()):
-        _say(
-            f"{name}: window center {window.center:.6g} s, "
-            f"psi+ fidelity {res.psi_plus_fidelity:.6f}, "
-            f"psi- fidelity {res.psi_minus_fidelity:.6f}"
-        )
-    meta = cfg.metadata("bell-postselect")
-    meta["diag.norm_residual"] = abs(state.norm() - 1.0)
-    meta["diag.chirp_edge_step_rad"] = edge_step
+        report.append(f"{name}: window center {window.center:.6g} s, "
+                      f"psi+ fidelity {res.psi_plus_fidelity:.6f}, "
+                      f"psi- fidelity {res.psi_minus_fidelity:.6f}")
     return [(
         "bell_postselect.csv",
         {
@@ -433,11 +431,11 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> list[Table]:
             "n_band_samples": [res.n_samples for res in results.values()],
             "selected_fraction": [res.selected_fraction for res in results.values()],
         },
-        meta,
-    )]
+        {"diag.norm_residual": abs(state.norm() - 1.0), "diag.chirp_edge_step_rad": edge_step},
+    )], report
 
 
-def scenario_drift_series(cfg: ScenarioConfig) -> list[Table]:
+def scenario_drift_series(cfg: ScenarioConfig) -> Result:
     duration = cfg["drift_series.duration_s"]
     interval = cfg["drift_series.sample_interval_s"]
     _check_work("drift_series.duration_s / drift.time_step_s",
@@ -449,12 +447,8 @@ def scenario_drift_series(cfg: ScenarioConfig) -> list[Table]:
     u = drift_operators(cfg.drift, times)
     single = channel_visibility(u)
     both = channel_visibility(round_trip(u))
-    _say(
-        f"single pass: visibility range {np.ptp(single):.3f}; "
-        f"go-and-return: std {np.std(both):.3e}"
-    )
-    meta = cfg.metadata("drift-series")
-    meta["diag.max_unitarity_residual"] = unitarity_residual(u)
+    report = [f"single pass: visibility range {np.ptp(single):.3f}; "
+              f"go-and-return: std {np.std(both):.3e}"]
     return [(
         "drift_series.csv",
         {
@@ -462,11 +456,11 @@ def scenario_drift_series(cfg: ScenarioConfig) -> list[Table]:
             "visibility_single_pass": single,
             "visibility_go_and_return": both,
         },
-        meta,
-    )]
+        {"diag.max_unitarity_residual": unitarity_residual(u)},
+    )], report
 
 
-def scenario_histogram(cfg: ScenarioConfig) -> list[Table]:
+def scenario_histogram(cfg: ScenarioConfig) -> Result:
     _require_dispersion(cfg)
     n_channels = cfg["histogram.n_channels"]
     _check_work("histogram.n_channels", n_channels, "channels", _MAX_HISTOGRAM_CHANNELS)
@@ -493,16 +487,15 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Table]:
     est = estimate_visibility(*hists, window)
     how = ("background subtracted" if est.background_channels
            else "background not subtracted: no channel beyond 3 signal supports")
-    _say(f"visibility {est.value:.4f} +- {est.sigma:.4f} ({how})")
-    meta = cfg.metadata("histogram")
-    meta["derived.pair_transmittance"] = pair_transmittance
-    meta["diag.background_channels"] = est.background_channels
+    report = [f"visibility {est.value:.4f} +- {est.sigma:.4f} ({how})"]
     # Both arms hold the same axis arrays, so csvio formats them once per block.
     axes = {"channel_index": np.arange(n_channels), "tau_center_s": hists[0].tau_centers()}
     tables = []
     for name, seed, hist in zip(("plus", "minus"), seeds, hists):
         header = {
-            **meta, "seed": seed, "channel_width_s": channel_width,
+            "derived.pair_transmittance": pair_transmittance,
+            "diag.background_channels": est.background_channels,
+            "seed": seed, "channel_width_s": channel_width,
             "zero_offset_channel": hist.zero_offset_channel, "n_pairs": hist.n_pairs,
             "n_background": hist.n_background, "underflow": hist.underflow,
             "overflow": hist.overflow, "signal_support_s": hist.signal_support,
@@ -510,7 +503,7 @@ def scenario_histogram(cfg: ScenarioConfig) -> list[Table]:
             "diag.floored_channels": hist.floored_channels, "arm": name,
         }
         tables.append((f"histogram_{name}.csv", {**axes, "counts": hist.counts}, header))
-    return tables
+    return tables, report
 
 
 SCENARIOS = {
@@ -525,7 +518,7 @@ SCENARIOS = {
 def _parse_overrides(extra: list[str]) -> dict[tuple[str, str], _Entry]:
     overrides: dict[tuple[str, str], _Entry] = {}
     for arg in extra:
-        m = _OVERRIDE_RE.match(arg)
+        m = _OVERRIDE_RE.fullmatch(arg)
         if not m:
             raise ConfigurationError(
                 f"unrecognized argument {arg!r} (overrides look like --section.key=value)")
@@ -552,10 +545,11 @@ def main(argv: list[str] | None = None) -> int:
     args, extra = parser.parse_known_args(argv)
     try:
         cfg = _load_config(args.config, _parse_overrides(extra))
-        tables = SCENARIOS[args.scenario](cfg)
+        tables, report = SCENARIOS[args.scenario](cfg)
+        record = cfg.metadata(args.scenario)
         out = Path(cfg["sim.output_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        files = [(out / name, columns, header) for name, columns, header in tables]
+        files = [(out / name, columns, {**record, **header}) for name, columns, header in tables]
         write_csvs(files)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -563,8 +557,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - boundary of the program
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    for path, _, _ in files:
-        _say(str(path))
+    for line in [*report, *(str(path) for path, _, _ in files)]:
+        _say(line)
     return 0
 
 

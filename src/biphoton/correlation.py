@@ -164,7 +164,7 @@ def visibility(plus: CorrelationResult, minus: CorrelationResult, tau: float = 0
         raise ValueError("results are on different tau grids")
     i = int(np.argmin(np.abs(plus.tau_grid - tau)))
     half_step = 0.5 * (plus.tau_grid[-1] - plus.tau_grid[0]) / max(len(plus.tau_grid) - 1, 1)
-    if abs(plus.tau_grid[i] - tau) > half_step * (1.0 + 1e-9):
+    if not abs(plus.tau_grid[i] - tau) <= half_step * (1.0 + 1e-9):  # also a nan tau
         raise ValueError(f"tau = {tau!r} is outside the sampled grid")
     p = plus.g2[i]
     m = minus.g2[i]

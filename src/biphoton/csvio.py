@@ -61,14 +61,18 @@ def write_csvs(
 
     A column array that several files hold (the same object) is formatted
     once per block for all of them.  Each file's bytes are those of
-    ``write_csv`` of that file alone.
+    ``write_csv`` of that file alone.  A bad table, or a path that names a
+    file twice, raises ValueError before any file is opened.
     """
-    tables = []
+    tables, real_paths = [], set()
     for path, columns, metadata in files:
         names = list(columns)
         arrays = [np.asarray(columns[name]) for name in names]
         if not arrays or any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
             raise ValueError(f"{path}: a file needs one or more columns, all 1-d and of one length")
+        if os.path.realpath(path) in real_paths:
+            raise ValueError(f"{path}: this file is named twice")
+        real_paths.add(os.path.realpath(path))
         lines = [f"# {key} = {format_value(value)}" for key, value in metadata.items()]
         lines.append(",".join(names))
         tables.append((path, "\n".join(lines) + "\n", arrays))

@@ -594,21 +594,38 @@ _SMALL = ["--histogram.acquisition_time_s=30", "--drift_series.duration_s=1800",
 
 @pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
 def test_scenario_returns_its_tables_and_main_writes_them(tmp_path, capsys, scenario):
-    # A scenario touches no file; main writes exactly the tables it returns.
+    # A scenario prints and writes nothing, and its headers lack the run record;
+    # main writes each table under the record, then prints the report and the paths.
     out = tmp_path / "out"
-    overrides = cli._parse_overrides([*_SMALL, f"--sim.output_dir={out}"])
-    tables = cli.SCENARIOS[scenario](cli._load_config(None, overrides))
+    cfg = cli._load_config(None, cli._parse_overrides([*_SMALL, f"--sim.output_dir={out}"]))
+    capsys.readouterr()
+    tables, report = cli.SCENARIOS[scenario](cfg)
+    assert capsys.readouterr() == ("", "")
     assert list(tmp_path.iterdir()) == []
+    for _, _, header in tables:
+        assert not [key for key in header if key == "scenario" or key.startswith("config.")]
     direct = tmp_path / "direct"
     direct.mkdir()
-    write_csvs([(direct / name, columns, header) for name, columns, header in tables])
-    capsys.readouterr()
+    record = cfg.metadata(scenario)
+    write_csvs([(direct / name, columns, {**record, **header})
+                for name, columns, header in tables])
     assert cli.main([scenario, *_SMALL, f"--sim.output_dir={out}"]) == 0
     names = [name for name, _, _ in tables]
-    assert capsys.readouterr().out.splitlines()[-len(names):] == [str(out / n) for n in names]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [*report, *(str(out / n) for n in names)]
     assert sorted(p.name for p in out.iterdir()) == sorted(names)
     for name in names:
         assert (out / name).read_bytes() == (direct / name).read_bytes()
+
+
+@pytest.mark.parametrize("scenario", ["bell-postselect", "drift-series", "histogram"])
+def test_failed_write_prints_no_report(tmp_path, capsys, scenario):
+    (tmp_path / "taken").write_text("")
+    code = cli.main([scenario, *_SMALL, f"--sim.output_dir={tmp_path / 'taken'}"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("runtime error:")
 
 
 def test_same_seed_is_byte_identical(tmp_path, monkeypatch):
@@ -770,6 +787,13 @@ def test_key_given_twice_on_the_command_line_is_config_error(tmp_path, capsys):
     assert run(tmp_path, "g2-curves", "--sim.seed=1", "--sim.seed=2") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: command line: duplicate key sim.seed")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("arg", ["--sim.seed=5\n", "--sim.seed=5\r\n"])
+def test_override_with_a_trailing_line_break_is_config_error(tmp_path, capsys, arg):
+    assert run(tmp_path, "g2-curves", arg) == 2
+    assert capsys.readouterr().err.startswith("config error: unrecognized argument")
     assert not (tmp_path / "out").exists()
 
 

@@ -261,6 +261,13 @@ def test_visibility_requires_matching_grids(state, fiber):
         visibility(plus, shifted)
 
 
+def test_visibility_at_nan_tau_raises(state, fiber):
+    plus = g2_numeric(state, fiber, PLUS_PLUS)
+    minus = g2_numeric(state, fiber, PLUS_MINUS)
+    with pytest.raises(ValueError, match="outside the sampled grid"):
+        visibility(plus, minus, float("nan"))
+
+
 def test_visibility_empty_denominator_is_marked():
     tau = np.linspace(-1.0, 1.0, 5)
     zero = CorrelationResult(

@@ -114,6 +114,15 @@ def test_lockstep_writer_refuses_a_file_without_columns(tmp_path):
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_lockstep_writer_refuses_a_file_named_twice(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.csv").symlink_to(tmp_path / "c.csv")
+    for other in ("./c.csv", tmp_path / "c.csv", "sub/../c.csv", "link.csv"):
+        with pytest.raises(ValueError, match="named twice"):
+            write_csvs([("c.csv", {"x": [0, 1, 2]}, {"k": 1}), (other, {"y": [0.0, 2.0]}, {})])
+        assert not (tmp_path / "c.csv").exists()
+
+
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "r.csv", {"a": [1.0, 2.0], "b": [1.0]}, {})
