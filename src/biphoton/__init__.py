@@ -58,7 +58,6 @@ from .state import (
     FrequencyGrid,
     apply_local,
     pdc_state,
-    polarization_overlap,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +94,6 @@ __all__ = [
     "g2_numeric",
     "is_unitary",
     "pdc_state",
-    "polarization_overlap",
     "postselect",
     "random_unitary",
     "retarder",

@@ -333,20 +333,17 @@ def _plate_state(cfg: ScenarioConfig):
     return apply_local(state, retarder(cfg.plate.delta, cfg.plate.alpha))
 
 
-def _numeric_curves(state, fiber: FiberChannel):
-    return g2_numeric(state, fiber, PLUS_PLUS), g2_numeric(state, fiber, PLUS_MINUS)
-
-
 def scenario_g2_curves(cfg: ScenarioConfig) -> Result:
     scale = _require_dispersion(cfg)
     state = _plate_state(cfg)
-    plus, minus = _numeric_curves(state, cfg.fiber)
+    plus, minus = (g2_numeric(state, cfg.fiber, arms) for arms in (PLUS_PLUS, PLUS_MINUS))
     ana_plus = g2_analytic(plus.tau_grid, scale, cfg.plate, "plus")
     ana_minus = g2_analytic(minus.tau_grid, scale, cfg.plate, "minus")
     num_peak = max(plus.g2.max(), minus.g2.max())
     ana_peak = max(ana_plus.max(), ana_minus.max())
     header = {"normalization": "joint peak of the plus/minus pair",
-              "diag.norm_residual": abs(state.norm() - 1.0)}
+              "diag.norm_residual": abs(state.norm() - 1.0),
+              "diag.chirp_edge_step_rad": chirp_edge_step(cfg.grid, cfg.fiber)}
     return [(f"g2_{name}.csv",
              {"tau_s": result.tau_grid, "g2_analytic": ana / ana_peak,
               "g2_numeric": result.g2 / num_peak},
@@ -407,29 +404,18 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> Result:
         "psi_plus": PostSelectionWindow(0.0, half_width),
         "psi_minus": PostSelectionWindow(np.pi * scale / 2.0, half_width),
     }
-    results, report = {}, []
-    for name, window in windows.items():
-        try:
-            res = results[name] = postselect(state, cfg.fiber, window)
-        except ConfigurationError as exc:  # only an empty window: k2 z = 0 was refused above
-            step = 2.0 * abs(cfg.fiber.k2 * cfg.fiber.z) * cfg.grid.domega
-            raise ConfigurationError(
-                f"postselect.half_width_s = {half_width:.3g} s: {name} window at "
-                f"{window.center:.6g} s: {exc} (grid tau step 2 |k2 z| dOmega = {step:.3g} s)"
-            ) from exc
-        report.append(f"{name}: window center {window.center:.6g} s, "
-                      f"psi+ fidelity {res.psi_plus_fidelity:.6f}, "
-                      f"psi- fidelity {res.psi_minus_fidelity:.6f}")
+    results = {name: postselect(state, cfg.fiber, window) for name, window in windows.items()}
+    report = [f"{name}: window center {windows[name].center:.6g} s, "
+              f"psi+ fidelity {res.psi_plus_fidelity:.6f}, "
+              f"psi- fidelity {res.psi_minus_fidelity:.6f}" for name, res in results.items()]
     return [(
         "bell_postselect.csv",
         {
             "target": list(results),
             "window_center_s": [window.center for window in windows.values()],
             "window_half_width_s": [half_width] * len(windows),
-            "psi_plus_fidelity": [res.psi_plus_fidelity for res in results.values()],
-            "psi_minus_fidelity": [res.psi_minus_fidelity for res in results.values()],
-            "n_band_samples": [res.n_samples for res in results.values()],
-            "selected_fraction": [res.selected_fraction for res in results.values()],
+            **{key: [getattr(res, key) for res in results.values()]
+               for key in ("psi_plus_fidelity", "psi_minus_fidelity", "selected_fraction")},
         },
         {"diag.norm_residual": abs(state.norm() - 1.0), "diag.chirp_edge_step_rad": edge_step},
     )], report
@@ -477,7 +463,8 @@ def scenario_histogram(cfg: ScenarioConfig) -> Result:
                 _MAX_POISSON_TOTAL)
     _check_work("expected background total from detector.dark_rate_per_channel_hz",
                 det.dark_background_rate * acquisition * n_channels, "counts", _MAX_POISSON_TOTAL)
-    plus, minus = _numeric_curves(_plate_state(cfg), cfg.fiber)
+    state = _plate_state(cfg)
+    plus, minus = (g2_numeric(state, cfg.fiber, arms) for arms in (PLUS_PLUS, PLUS_MINUS))
     # Arm seeds from SeedSequence([seed, arm]): no arm replays another seed's arm.
     seeds = [int(np.random.SeedSequence([cfg["sim.seed"], arm]).generate_state(1, np.uint64)[0])
              for arm in (0, 1)]
@@ -495,6 +482,7 @@ def scenario_histogram(cfg: ScenarioConfig) -> Result:
         header = {
             "derived.pair_transmittance": pair_transmittance,
             "diag.background_channels": est.background_channels,
+            "diag.chirp_edge_step_rad": chirp_edge_step(cfg.grid, cfg.fiber),
             "seed": seed, "channel_width_s": channel_width,
             "zero_offset_channel": hist.zero_offset_channel, "n_pairs": hist.n_pairs,
             "n_background": hist.n_background, "underflow": hist.underflow,

@@ -17,8 +17,9 @@ convention in the chain is consistent, which the test suite pins down.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+import functools
+import math
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -26,12 +27,14 @@ import numpy as np
 from .errors import ConfigurationError
 from .fiber import FiberChannel
 from .jones import RetarderSpec, analyzer_vector
-from .state import (PSI_MINUS, PSI_PLUS, BiphotonState, FrequencyGrid, _both_photons,
-                    polarization_overlap)
+from .state import PSI_MINUS, PSI_PLUS, BiphotonState, FrequencyGrid, _both_photons
 
 Normalization = Literal["raw"]
 
 FAR_FIELD_EDGE_STEP = np.pi / 4.0  # chirp_edge_step (rad) from which g2 is the far-field image
+# The 32-node Gauss-Legendre rule of a half-lobe window panel; numpy.polynomial loads on first use.
+_gauss_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(32))
+MAX_WINDOW_NODES = 1 << 22  # nodes of one window at most: the command line's largest grid
 
 
 @dataclass(frozen=True)
@@ -190,12 +193,31 @@ class PostSelectionWindow:
 
 @dataclass
 class PostSelectionResult:
-    amplitude: np.ndarray = field(repr=False)
+    density: np.ndarray = field(repr=False)  # 4x4 rho / tr rho, index 2 s1 + s2
     psi_plus_fidelity: float
     psi_minus_fidelity: float
-    n_samples: int
     band: tuple[float, float]
-    selected_fraction: float  # share of the state's norm inside the band
+    selected_fraction: float  # tr rho over the state's norm: its share inside the band
+
+
+def _window_gram(state: BiphotonState, lo: float, hi: float) -> np.ndarray:
+    """Integral of conj(r) r^T of the spectral rows r over [lo, hi] within +-omega_max.
+
+    One Gauss-Legendre panel per half lobe pi / (2 tau0) the band meets: exact
+    to rounding.  An empty band, or one with a nan edge, gives 0.
+    """
+    lo, hi = max(lo, -state.grid.omega_max), min(hi, state.grid.omega_max)
+    if not lo < hi:
+        return np.zeros((2, 2), dtype=complex)
+    half_lobe, (nodes, weights) = np.pi / (2.0 * state.crystal.tau0), _gauss_legendre()
+    first, last = math.floor(lo / half_lobe), math.ceil(hi / half_lobe)
+    if (last - first) * len(nodes) > MAX_WINDOW_NODES:
+        raise ConfigurationError(f"window band [{lo:.3g}, {hi:.3g}] rad/s spans {last - first} "
+                                 f"half lobes, more than {MAX_WINDOW_NODES} quadrature nodes")
+    edges = np.clip(np.arange(first, last + 1) * half_lobe, lo, hi)
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    rows = state.rows_at((mid[:, None] + half[:, None] * nodes).ravel())
+    return (rows.conj() * (half[:, None] * weights).ravel()) @ rows.T
 
 
 def postselect(
@@ -206,54 +228,25 @@ def postselect(
 ) -> PostSelectionResult:
     """Polarization state selected by a coincidence-time window.
 
-    The window is mapped to a detuning band through tau = 2 k2 z Omega, the
-    spectral rows are evaluated on the band's samples alone, averaged
-    coherently, mapped through the polarization block and renormalized.
-    ``basis`` optionally rotates both photons into an analyzer frame before
-    the Bell-state overlaps are evaluated.
-
-    That map is the far-field one: it describes a measurable pattern only
-    where ``chirp_edge_step(state.grid, fiber) >= pi/4``.  Below that step the
-    band is still found and a result returned, which the command line
-    refuses: at k2 = 1e-30 s^2/m on the default 512-point grid the psi-
-    window gives psi- fidelity 0.999962, the number at the paper's dispersion.
+    The window maps to a detuning band through the far-field tau = 2 k2 z Omega
+    (the command line requires ``chirp_edge_step >= pi/4``).  Distinct detection
+    times are distinguishable outcomes, so the band selects the mixture
+    rho = pol conj(G) pol^dagger of its Gram matrix G; ``basis`` first rotates
+    both photons, pol -> kron(B, B) pol.  A fidelity is <psi|rho|psi> / tr rho.
     """
     k2z = fiber.k2 * fiber.z
     if k2z == 0.0:
         raise ConfigurationError("post-selection needs nonzero k2 * z")
-    lo = (window.center - window.half_width) / (2.0 * k2z)
-    hi = (window.center + window.half_width) / (2.0 * k2z)
-    if lo > hi:
-        lo, hi = hi, lo
-    # The band is a run of the increasing grid: bisect on grid.omegas[k], exactly.
-    grid = state.grid
-    omega = lambda k: (k - grid.zero_index) * grid.domega  # noqa: E731
-    start = bisect_left(range(grid.n_used), lo, key=omega)
-    stop = bisect_right(range(grid.n_used), hi, key=omega)
-    n_samples = stop - start if lo <= hi else 0  # a nan edge selects nothing
-    if n_samples == 0:
-        raise ConfigurationError("window contains no grid samples")
-    rows = state.rows(start, stop)
-    band_norm = replace(state, gram=rows.conj() @ rows.T * grid.domega).norm()  # the band's Gram
-    total = state.norm()
+    lo, hi = sorted((window.center + side * window.half_width) / (2.0 * k2z) for side in (-1, 1))
+    pol = state.pol if basis is None else _both_photons(basis, state.pol)
+    # rho = pol conj(G) pol^dagger = x x^dagger, x = pol c, conj(G) = c c^dagger: psd to rounding
+    lam, vec = np.linalg.eigh(_window_gram(state, lo, hi).conj())
+    x = pol @ (vec * np.sqrt(np.clip(lam, 0.0, None)))
+    band_norm, total = float(np.sum(np.abs(x) ** 2)), state.norm()
     if band_norm <= 1e-12 * total:
-        raise ConfigurationError(
-            f"window carries {band_norm:.3g} of {total:.3g} total norm (below 1e-12)"
-        )
-    avg = (state.pol @ np.mean(rows, axis=1)).reshape(2, 2)
-    if basis is not None:
-        avg = _both_photons(basis, avg)
-    norm = np.linalg.norm(avg)
-    if norm < 1e-300:
-        raise ValueError("window average cancels coherently")
-    avg = avg / norm
-    fid_plus = abs(polarization_overlap(avg, PSI_PLUS)) ** 2
-    fid_minus = abs(polarization_overlap(avg, PSI_MINUS)) ** 2
-    return PostSelectionResult(
-        amplitude=avg,
-        psi_plus_fidelity=float(fid_plus),
-        psi_minus_fidelity=float(fid_minus),
-        n_samples=n_samples,
-        band=(lo, hi),
-        selected_fraction=band_norm / total,
-    )
+        raise ConfigurationError(f"window carries {band_norm:.3g} of {total:.3g} total norm "
+                                 "(below 1e-12)")
+    x = x / math.sqrt(band_norm)  # rho / tr rho = x x^dagger; 1 / band_norm may overflow
+    fidelities = [float(np.sum(abs(psi.ravel().conj() @ x) ** 2)) for psi in (PSI_PLUS, PSI_MINUS)]
+    return PostSelectionResult(x @ x.conj().T, *fidelities, band=(lo, hi),
+                               selected_fraction=band_norm / total)

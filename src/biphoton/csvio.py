@@ -10,12 +10,14 @@ whole file are ever held at once; the bytes do not depend on the block size.
 ``write_csvs`` writes several files block by block in lockstep: a column
 array that more than one of them holds is formatted once per block, and its
 block's text is shared; each file's bytes are those it gets written alone.
+A failed write leaves every file as it was: each is moved onto its name once all are written.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import secrets
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -62,35 +64,47 @@ def write_csvs(
     A column array that several files hold (the same object) is formatted
     once per block for all of them.  Each file's bytes are those of
     ``write_csv`` of that file alone.  A bad table, or a path that names a
-    file twice, raises ValueError before any file is opened.
+    file twice or a directory, raises ValueError before any file is opened.
     """
-    tables, real_paths = [], set()
+    tables = []
     for path, columns, metadata in files:
         names = list(columns)
         arrays = [np.asarray(columns[name]) for name in names]
         if not arrays or any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
             raise ValueError(f"{path}: a file needs one or more columns, all 1-d and of one length")
-        if os.path.realpath(path) in real_paths:
+        real = os.path.realpath(path)
+        if real in (named for named, _, _ in tables):
             raise ValueError(f"{path}: this file is named twice")
-        real_paths.add(os.path.realpath(path))
+        if os.path.isdir(real):
+            raise ValueError(f"{path}: is an existing directory")
         lines = [f"# {key} = {format_value(value)}" for key, value in metadata.items()]
         lines.append(",".join(names))
-        tables.append((path, "\n".join(lines) + "\n", arrays))
+        tables.append((real, "\n".join(lines) + "\n", arrays))
     distinct = {id(a): a for _, _, arrays in tables for a in arrays}
-    with contextlib.ExitStack() as stack:
-        handles = []
-        for path, header, _ in tables:
-            handles.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="\n")))
-            handles[-1].write(header)
-        n_rows = max((len(arrays[0]) for _, _, arrays in tables), default=0)
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            text = {key: _column_text(a[start:start + _BLOCK_ROWS])
-                    for key, a in distinct.items() if start < len(a)}
-            for fh, (_, _, arrays) in zip(handles, tables):
-                if start < len(arrays[0]):
-                    rows = zip(*(text[id(a)] for a in arrays))
-                    fh.write("\n".join(map(",".join, rows)) + "\n")
-            del text, rows  # free this block's text before the next block's is built
+    temps = []  # each file is written to a new name beside its own, then moved onto it
+    try:
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for real, header, _ in tables:
+                temp = f"{real}.{secrets.token_hex(8)}.tmp"  # "x" makes it new, with w's mode
+                handles.append(stack.enter_context(open(temp, "x", encoding="utf-8", newline="\n")))
+                temps.append(temp)
+                handles[-1].write(header)
+            n_rows = max((len(arrays[0]) for _, _, arrays in tables), default=0)
+            for start in range(0, n_rows, _BLOCK_ROWS):
+                text = {key: _column_text(a[start:start + _BLOCK_ROWS])
+                        for key, a in distinct.items() if start < len(a)}
+                for fh, (_, _, arrays) in zip(handles, tables):
+                    if start < len(arrays[0]):
+                        rows = zip(*(text[id(a)] for a in arrays))
+                        fh.write("\n".join(map(",".join, rows)) + "\n")
+                del text, rows  # free this block's text before the next block's is built
+        for real, _, _ in tables:
+            os.replace(temps[0], real)
+            del temps[0]
+    finally:
+        for temp in temps:  # each one not moved onto its name
+            os.unlink(temp)
 
 
 def read_csv(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict[str, str]]:

@@ -153,14 +153,17 @@ class BiphotonState:
     gram: np.ndarray = field(repr=False)
     scale: float = field(repr=False)
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """The two spectral rows on samples start..stop-1, shape (2, stop - start)."""
-        k = np.arange(start - self.grid.zero_index, stop - self.grid.zero_index)
-        theta = k * self.grid.domega * self.crystal.tau0  # Omega tau0
+    def rows_at(self, omega: np.ndarray) -> np.ndarray:
+        """The two spectral rows at the detunings ``omega`` (1-d, rad/s), shape (2, len(omega))."""
+        theta = omega * self.crystal.tau0
         sin = np.sin(theta)
         env = np.divide(sin, theta, out=np.ones_like(theta), where=theta != 0.0)
         phase = (np.cos(theta) + 1j * sin) * self.scale
         return np.stack((phase, phase.conj())) * env
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The two spectral rows on samples start..stop-1, shape (2, stop - start)."""
+        return self.rows_at((np.arange(start, stop) - self.grid.zero_index) * self.grid.domega)
 
     @property
     def amp(self) -> np.ndarray:
@@ -214,14 +217,3 @@ PSI_PLUS = np.array([[0, 1], [1, 0]], dtype=complex) / np.sqrt(2.0)
 PSI_MINUS = np.array([[0, 1], [-1, 0]], dtype=complex) / np.sqrt(2.0)
 PSI_PLUS.flags.writeable = False
 PSI_MINUS.flags.writeable = False
-
-
-def polarization_overlap(slice2x2: np.ndarray, target: np.ndarray) -> complex:
-    """Complex overlap <target | slice> of PSI_PLUS or PSI_MINUS after normalizing the slice."""
-    s = np.asarray(slice2x2, dtype=complex)
-    if s.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 slice, got shape {s.shape}")
-    n = np.linalg.norm(s)
-    if n < 1e-300:
-        raise ValueError("slice has zero norm")
-    return complex(np.sum(target.conj() * s) / n)

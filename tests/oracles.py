@@ -1,8 +1,11 @@
 """Reference helpers shared by the tests; not part of the library."""
 
-import numpy as np
+import math
 
-from biphoton import analyzer_vector
+import numpy as np
+from scipy.integrate import quad
+
+from biphoton import PSI_MINUS, PSI_PLUS, ConfigurationError, analyzer_vector
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -45,3 +48,60 @@ def exact_transform(state, fiber, analyzer):
     spectrum = np.fft.fftshift(np.fft.fft(b))
     tau = (np.arange(1, grid.n) - grid.n // 2) * (2.0 * np.pi / (grid.n * grid.domega))
     return tau, (grid.domega * np.abs(spectrum[1:])) ** 2
+
+
+def polarization_overlap(slice2x2: np.ndarray, target: np.ndarray) -> complex:
+    """Complex overlap <target | slice> of PSI_PLUS or PSI_MINUS after normalizing the slice."""
+    s = np.asarray(slice2x2, dtype=complex)
+    if s.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 slice, got shape {s.shape}")
+    n = np.linalg.norm(s)
+    if n < 1e-300:
+        raise ValueError("slice has zero norm")
+    return complex(np.sum(target.conj() * s) / n)
+
+
+def continuum_gram(state, lo, hi) -> np.ndarray:
+    """Integral of conj(r) r^T over [lo, hi] within +-omega_max, by adaptive quadrature.
+
+    The rows are written out in closed form, r = scale sinc(theta) e^{+-i theta}
+    with theta = Omega tau0, and scipy's quad integrates sinc^2, sinc^2 cos 2 theta
+    and sinc^2 sin 2 theta over each piece between multiples of pi / 2 in theta.
+    """
+    lo, hi = max(lo, -state.grid.omega_max), min(hi, state.grid.omega_max)
+    if not lo < hi:
+        return np.zeros((2, 2), dtype=complex)
+    tau0 = state.crystal.tau0
+    a, b = lo * tau0, hi * tau0
+    cuts = [k * np.pi / 2.0 for k in range(math.floor(a / (np.pi / 2.0)),
+                                          math.ceil(b / (np.pi / 2.0)) + 1)]
+    points = [a, *(c for c in cuts if a < c < b), b]
+    sums = []
+    for weight in (lambda t: 1.0, lambda t: np.cos(2.0 * t), lambda t: np.sin(2.0 * t)):
+        parts = [quad(lambda t: np.sinc(t / np.pi) ** 2 * weight(t), x0, x1,
+                      epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+                 for x0, x1 in zip(points, points[1:])]
+        sums.append(math.fsum(parts))
+    whole, cos2, sin2 = sums
+    cross = complex(cos2, -sin2)  # integral of sinc^2 e^{-2i theta}
+    return state.scale**2 / tau0 * np.array([[whole, cross], [cross.conjugate(), whole]])
+
+
+def continuum_postselect(state, fiber, window, basis=None):
+    """(density, psi+ fidelity, psi- fidelity, selected fraction) from ``continuum_gram``.
+
+    rho = sum over the band of a a^dagger with a = kron(B, B) pol r; a band
+    holding at most 1e-12 of the norm raises ConfigurationError.
+    """
+    k2z = fiber.k2 * fiber.z
+    lo = (window.center - window.half_width) / (2.0 * k2z)
+    hi = (window.center + window.half_width) / (2.0 * k2z)
+    lo, hi = min(lo, hi), max(lo, hi)
+    pol = state.pol if basis is None else np.kron(basis, basis) @ state.pol
+    rho = pol @ continuum_gram(state, lo, hi).conj() @ pol.conj().T
+    trace = np.trace(rho).real
+    if not trace > 1e-12 * state.norm():
+        raise ConfigurationError("window carries too little norm")
+    fidelities = [(psi.ravel().conj() @ rho @ psi.ravel()).real / trace
+                  for psi in (PSI_PLUS, PSI_MINUS)]
+    return rho / trace, *fidelities, trace / state.norm()

@@ -39,6 +39,7 @@ from biphoton import coincidence
 from biphoton import fiber as fiber_module
 from biphoton.csvio import read_csv, write_csv, write_csvs
 from biphoton.jones import ATOL_COMPOSED
+from oracles import continuum_gram, continuum_postselect
 
 TAU_F = 6.912e-10
 
@@ -141,15 +142,25 @@ def test_plate_surface_matches_per_plate_loop(tmp_path):
 def test_bell_postselect_reports_fidelities(tmp_path, capsys):
     assert run(tmp_path, "bell-postselect") == 0
     out = capsys.readouterr().out
-    assert "0.999" in out
+    assert "psi+ fidelity 0.999867" in out and "psi- fidelity 0.999867" in out
     columns, meta = read_csv(tmp_path / "out" / "bell_postselect.csv")
+    assert list(columns) == ["target", "window_center_s", "window_half_width_s",
+                             "psi_plus_fidelity", "psi_minus_fidelity", "selected_fraction"]
     rows = dict(zip(columns["target"], range(len(columns["target"]))))
     plus_fid = np.asarray(columns["psi_plus_fidelity"])
     minus_fid = np.asarray(columns["psi_minus_fidelity"])
-    assert plus_fid[rows["psi_plus"]] == pytest.approx(1.0, abs=1e-9)
-    assert minus_fid[rows["psi_minus"]] > 0.999
+    # each window's mixture, against the continuum quadrature oracle
+    cfg = cli._load_config(None, {})
+    state = apply_local(pdc_state(cfg.crystal, cfg.grid),
+                        retarder(cfg.plate.delta, cfg.plate.alpha))
+    for target, fid, k in (("psi_plus", plus_fid, 1), ("psi_minus", minus_fid, 2)):
+        window = PostSelectionWindow(columns["window_center_s"][rows[target]],
+                                     columns["window_half_width_s"][rows[target]])
+        expected = continuum_postselect(state, cfg.fiber, window)
+        assert fid[rows[target]] == pytest.approx(expected[k], abs=1e-12)
+        assert columns["selected_fraction"][rows[target]] == pytest.approx(expected[3], abs=1e-12)
     # each narrow window keeps a small share of the pairs
-    assert all(0.0 < f < 0.1 for f in columns["selected_fraction"])
+    np.testing.assert_allclose(columns["selected_fraction"], [0.012895, 0.005227], atol=5e-7)
     assert 0.0 <= float(meta["diag.norm_residual"]) < 1e-12
 
 
@@ -289,8 +300,7 @@ _ONE_LOBE_CRYSTAL = ("--grid.half_range_lobes=1", "--crystal.gvm_s_per_m=4.23960
 
 @pytest.mark.parametrize("scenario, extra", [
     ("g2-curves", ()),
-    # at one lobe the psi- window is centered midway between two grid samples, and the
-    # default 13.8 ps half-width reaches neither at this crystal's tau_f (16.9 ns)
+    # a window wider than the grid's tau step (0.21 ns at this crystal's 16.9 ns tau_f)
     ("bell-postselect", ("--postselect.half_width_s=3.4e-10",)),
     ("histogram", ()),
 ])
@@ -299,13 +309,19 @@ def test_one_lobe_grid_runs(tmp_path, capsys, scenario, extra):
     assert capsys.readouterr().err == ""
 
 
-def test_bell_window_between_grid_samples_is_config_error(tmp_path, capsys):
+def test_bell_window_between_grid_samples_gives_a_result(tmp_path, capsys):
     # the one-lobe psi- window falls midway between two samples 0.21 ns apart,
-    # and the default 13.8 ps half-width reaches neither
-    assert run(tmp_path, "bell-postselect", *_ONE_LOBE_CRYSTAL) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("config error:") and "postselect.half_width_s" in err
-    assert "no grid samples" in err and "tau step" in err
+    # and the default 13.8 ps half-width reaches neither: the band is integrated
+    # on the continuum, so halving the width halves the yield, to second order
+    fractions = []
+    for half_width in (1.3824e-11, 6.912e-12):
+        assert run(tmp_path / str(half_width), "bell-postselect", *_ONE_LOBE_CRYSTAL,
+                   f"--postselect.half_width_s={half_width}") == 0
+        columns, _ = read_csv(tmp_path / str(half_width) / "out" / "bell_postselect.csv")
+        assert all(fid > 0.999999 for fid in columns["psi_minus_fidelity"][1:])
+        fractions.append(np.asarray(columns["selected_fraction"]))
+    assert capsys.readouterr().err == ""
+    np.testing.assert_allclose(fractions[0] / fractions[1], 2.0, rtol=1e-5)
 
 
 def test_largest_allowed_grid_reaches_the_state(tmp_path, monkeypatch, capsys):
@@ -433,7 +449,8 @@ HISTOGRAM_KEYS = [
 def test_histogram_header_keys_in_order(tmp_path):
     assert run(tmp_path, "histogram", "--histogram.acquisition_time_s=30") == 0
     scenario_keys = [*cli._load_config(None, {}).metadata("histogram"),
-                     "derived.pair_transmittance", "diag.background_channels"]
+                     "derived.pair_transmittance", "diag.background_channels",
+                     "diag.chirp_edge_step_rad"]
     for arm in ("plus", "minus"):
         _, meta = read_csv(tmp_path / "out" / f"histogram_{arm}.csv")
         assert list(meta) == [*scenario_keys, *HISTOGRAM_KEYS, "arm"]
@@ -462,8 +479,8 @@ def test_histogram_files_match_one_arm_at_a_time(tmp_path, overrides, n, jitter)
     crystal = CrystalParams(pump_wavelength=351e-9, gvm=2.0e-10, length=0.5e-3)
     fiber = FiberChannel(k2=3.6e-26, geometric_length=240.0, passes="go_and_return",
                          loss_db_per_km=12.0)
-    state = pdc_state(crystal, FrequencyGrid(n=n, omega_max=8 * np.pi / crystal.tau0))
-    state = apply_local(state, retarder(0.0, 0.0))
+    grid = FrequencyGrid(n=n, omega_max=8 * np.pi / crystal.tau0)
+    state = apply_local(pdc_state(crystal, grid), retarder(0.0, 0.0))
     pair_transmittance = transmittance(fiber) ** 2
     detectors = DetectorParams(jitter_sigma=jitter, efficiency_1=0.6, efficiency_2=0.6,
                                dark_background_rate=0.002)
@@ -484,6 +501,8 @@ def test_histogram_files_match_one_arm_at_a_time(tmp_path, overrides, n, jitter)
         config["derived.pair_transmittance"] = pair_transmittance
         header = {
             "scenario": "histogram", **config, "diag.background_channels": background_channels,
+            # |k2 z| omega_max dOmega
+            "diag.chirp_edge_step_rad": abs(fiber.k2 * fiber.z) * grid.omega_max * grid.domega,
             "seed": seed, "channel_width_s": 3.456e-11, "zero_offset_channel": 2048,
             "n_pairs": hist.n_pairs, "n_background": hist.n_background,
             "underflow": hist.underflow, "overflow": hist.overflow,
@@ -628,6 +647,34 @@ def test_failed_write_prints_no_report(tmp_path, capsys, scenario):
     assert captured.err.startswith("runtime error:")
 
 
+def test_failed_write_leaves_every_file_as_it_was(tmp_path, capsys):
+    # histogram_minus.csv names a directory: the run fails before any file is
+    # opened, and histogram_plus.csv keeps its earlier bytes (or stays absent)
+    out = tmp_path / "out"
+    (out / "histogram_minus.csv").mkdir(parents=True)
+    assert run(tmp_path, "histogram") == 3
+    assert capsys.readouterr().err.startswith("runtime error:")
+    assert sorted(p.name for p in out.iterdir()) == ["histogram_minus.csv"]
+    (out / "histogram_plus.csv").write_bytes(b"earlier")
+    assert run(tmp_path, "histogram") == 3
+    assert (out / "histogram_plus.csv").read_bytes() == b"earlier"
+    assert sorted(p.name for p in out.iterdir()) == ["histogram_minus.csv", "histogram_plus.csv"]
+
+
+@pytest.mark.parametrize("override, step", [((), 1.71e4), (("--fiber.k2_s2_per_m=1e-30",), 0.476)])
+def test_g2_based_files_record_their_route(tmp_path, override, step):
+    # g2_numeric transforms exactly below a chirp edge step of pi/4 and takes
+    # the far-field image from there on; every file built on it says which
+    for scenario, names in (("g2-curves", ("g2_plus", "g2_minus")),
+                            ("histogram", ("histogram_plus", "histogram_minus"))):
+        assert run(tmp_path / scenario, scenario, *override) == 0
+        for name in names:
+            _, meta = read_csv(tmp_path / scenario / "out" / f"{name}.csv")
+            edge_step = float(meta["diag.chirp_edge_step_rad"])
+            assert edge_step == pytest.approx(step, rel=2e-3)
+            assert (edge_step >= np.pi / 4.0) == (not override)
+
+
 def test_same_seed_is_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = ["histogram", "--histogram.acquisition_time_s=30",
@@ -714,14 +761,28 @@ def test_tau0_underflow_is_config_error(tmp_path, capsys):
 ])
 def test_bell_window_past_the_grid_keeps_every_sample(tmp_path, capsys, override, code):
     # both edges map beyond the grid (overflowing to +-inf): the band is the
-    # whole grid, not an error
+    # whole of +-omega_max, not an error, and holds the continuum's norm,
+    # 1 - 6.4e-11 of the grid's at n = 512
     assert run(tmp_path, "bell-postselect", override) == code
     if code:
         assert "chirp edge step" in capsys.readouterr().err
         return
-    columns, meta = read_csv(tmp_path / "out" / "bell_postselect.csv")
-    assert list(columns["n_band_samples"]) == [int(meta["config.grid.n"]) - 1] * 2
-    np.testing.assert_allclose(columns["selected_fraction"], 1.0, atol=1e-12)
+    columns, _ = read_csv(tmp_path / "out" / "bell_postselect.csv")
+    cfg = cli._load_config(None, {})
+    state = pdc_state(cfg.crystal, cfg.grid)
+    whole = np.trace(continuum_gram(state, -np.inf, np.inf)).real / state.norm()
+    assert whole == pytest.approx(1.0 - 6.4e-11, abs=1e-12)
+    np.testing.assert_allclose(columns["selected_fraction"], whole, rtol=0.0, atol=1e-12)
+
+
+def test_bell_window_of_too_many_half_lobes_is_config_error(tmp_path, capsys):
+    # 40,000 lobes each side: the whole band takes 160,000 half-lobe panels of
+    # 32 nodes, more than the 2^22 that the largest grid has
+    assert run(tmp_path, "bell-postselect", "--grid.half_range_lobes=40000",
+               "--postselect.half_width_s=1e300") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "quadrature nodes" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bell_postselect_allocates_no_grid_length_array(tmp_path):

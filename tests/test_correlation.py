@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from biphoton import (
     PLUS_MINUS,
     PLUS_PLUS,
-    PSI_MINUS,
-    PSI_PLUS,
     AnalyzerConfig,
     ConfigurationError,
     CorrelationResult,
@@ -22,14 +23,15 @@ from biphoton import (
     g2_analytic,
     g2_numeric,
     pdc_state,
-    polarization_overlap,
     postselect,
     random_unitary,
     retarder,
     tau_f,
     visibility,
 )
-from oracles import exact_transform, far_field_image
+from biphoton import correlation
+from biphoton.correlation import _window_gram
+from oracles import continuum_gram, continuum_postselect, exact_transform, far_field_image
 
 TAU_F = 6.912e-10
 
@@ -302,12 +304,13 @@ def test_correlation_result_validation():
 
 
 def test_postselect_center_window_is_symmetric(state, fiber):
+    # the band around Omega = 0 selects a mixture just short of psi+: the
+    # rows e^{+-i Omega tau0} drift apart across the band
     tf = tau_f(fiber, state.crystal)
-    w = PostSelectionWindow(center=0.0, half_width=tf / 50)
-    res = postselect(state, fiber, w)
-    assert res.psi_plus_fidelity == pytest.approx(1.0, abs=1e-12)
-    assert res.psi_minus_fidelity == pytest.approx(0.0, abs=1e-12)
-    assert res.n_samples >= 1
+    res = postselect(state, fiber, PostSelectionWindow(center=0.0, half_width=tf / 50))
+    assert res.psi_plus_fidelity == pytest.approx(0.999867, abs=5e-7)
+    assert res.psi_plus_fidelity + res.psi_minus_fidelity == pytest.approx(1.0, abs=1e-12)
+    assert res.selected_fraction == pytest.approx(0.012895, abs=5e-7)
 
 
 def test_postselect_quarter_window_is_antisymmetric(state, fiber):
@@ -315,8 +318,11 @@ def test_postselect_quarter_window_is_antisymmetric(state, fiber):
     w = PostSelectionWindow(center=0.5 * np.pi * tf, half_width=tf / 50)
     res = postselect(state, fiber, w)
     assert res.psi_minus_fidelity > 0.999
-    # frozen regression value for the default 512-point grid
-    assert res.psi_minus_fidelity == pytest.approx(0.9999620550574154, abs=1e-9)
+    # the independent continuum oracle, and its value to 6 digits
+    assert res.psi_minus_fidelity == pytest.approx(continuum_postselect(state, fiber, w)[2],
+                                                   abs=1e-12)
+    assert res.psi_minus_fidelity == pytest.approx(0.999867, abs=5e-7)
+    assert res.selected_fraction == pytest.approx(0.005227, abs=5e-7)
 
 
 def test_postselect_antisymmetric_window_ignores_collective_plates(
@@ -337,87 +343,53 @@ def test_postselect_basis_equals_preapplied_plate(state, fiber, rng):
     u = random_unitary(rng)
     via_basis = postselect(state, fiber, w, basis=u)
     via_state = postselect(apply_local(state, u), fiber, w)
-    np.testing.assert_allclose(
-        via_basis.amplitude, via_state.amplitude, atol=1e-12
-    )
+    np.testing.assert_allclose(via_basis.density, via_state.density, atol=1e-12)
+    assert via_basis.selected_fraction == pytest.approx(via_state.selected_fraction, abs=1e-12)
 
 
 def test_postselect_empty_window_raises(state, fiber):
+    # a window wholly past the grid's band holds none of the norm
     tf = tau_f(fiber, state.crystal)
     far = PostSelectionWindow(center=1e6 * tf, half_width=tf / 50)
-    with pytest.raises(ConfigurationError, match="no grid samples"):
+    with pytest.raises(ConfigurationError, match="window carries 0 of"):
         postselect(state, fiber, far)
 
 
 def test_postselect_dead_band_raises(state, fiber):
-    # HV - VH is 2i sinc(Omega tau0) sin(Omega tau0), exactly 0 at Omega = 0;
-    # a window narrower than one sample at tau = 0 keeps that sample alone
+    # HV - VH is 2i sinc(Omega tau0) sin(Omega tau0), zero at Omega = 0: the
+    # band Omega tau0 in +-1e-6 holds about 4e-19 of its norm
     pol = np.zeros((4, 2), dtype=complex)
     pol[1] = (1, -1)
     w = PostSelectionWindow(center=0.0,
-                            half_width=0.4 * state.grid.domega * 2.0 * fiber.k2 * fiber.z)
-    with pytest.raises(ConfigurationError, match="window carries 0 of"):
+                            half_width=1e-6 * 2.0 * fiber.k2 * fiber.z / state.crystal.tau0)
+    with pytest.raises(ConfigurationError,
+                       match=r"window carries \S+ of \S+ total norm \(below 1e-12\)"):
         postselect(replace(state, pol=pol), fiber, w)
 
 
-def mask_postselect(state, fiber, window):
-    """Oracle: the band as a boolean mask over the whole grid.
-
-    Returns (n_samples, band, psi+ fidelity, psi- fidelity, selected
-    fraction); an empty or dead band raises ConfigurationError.
-    """
-    k2z = fiber.k2 * fiber.z
-    lo = (window.center - window.half_width) / (2.0 * k2z)
-    hi = (window.center + window.half_width) / (2.0 * k2z)
-    if lo > hi:
-        lo, hi = hi, lo
-    omegas = state.grid.omegas
-    mask = (omegas >= lo) & (omegas <= hi)
-    n_samples = int(np.count_nonzero(mask))
-    if n_samples == 0:
-        raise ConfigurationError("window contains no grid samples")
-    amp = state.amp
-    band_norm = np.sum(np.abs(amp[:, :, mask]) ** 2) * state.grid.domega
-    total = np.sum(np.abs(amp) ** 2) * state.grid.domega
-    if band_norm <= 1e-12 * total:
-        raise ConfigurationError("dead band")
-    avg = np.mean(amp[:, :, mask], axis=2)
-    avg = avg / np.linalg.norm(avg)
-    fid_plus = abs(polarization_overlap(avg, PSI_PLUS)) ** 2
-    fid_minus = abs(polarization_overlap(avg, PSI_MINUS)) ** 2
-    return n_samples, (lo, hi), fid_plus, fid_minus, band_norm / total
-
-
-def assert_same_selection(state, fiber, window):
+def assert_same_selection(state, fiber, window, basis=None):
+    """postselect against the quadrature oracle: both raise, or all values agree within 1e-12."""
     try:
-        expected = mask_postselect(state, fiber, window)
+        density, fid_plus, fid_minus, fraction = continuum_postselect(state, fiber, window, basis)
     except ConfigurationError:
-        with pytest.raises(ConfigurationError, match="no grid samples|window carries"):
-            postselect(state, fiber, window)
+        with pytest.raises(ConfigurationError, match="window carries"):
+            postselect(state, fiber, window, basis)
         return None
-    res = postselect(state, fiber, window)
-    assert (res.n_samples, res.band) == expected[:2]
-    assert res.psi_plus_fidelity == pytest.approx(expected[2], abs=1e-12)
-    assert res.psi_minus_fidelity == pytest.approx(expected[3], abs=1e-12)
-    assert res.selected_fraction == pytest.approx(expected[4], abs=1e-12)
+    res = postselect(state, fiber, window, basis)
+    np.testing.assert_allclose(res.density, density, rtol=0.0, atol=1e-12)
+    assert res.psi_plus_fidelity == pytest.approx(fid_plus, abs=1e-12)
+    assert res.psi_minus_fidelity == pytest.approx(fid_minus, abs=1e-12)
+    assert res.selected_fraction == pytest.approx(fraction, abs=1e-12)
     return res
 
 
-def test_postselect_band_matches_mask_at_exact_edges(state):
-    # 2 k2 z = 2^-75 exactly, so a half width omegas[z + k] * 2^-75 puts both
-    # edges exactly on grid samples (the grid is antisymmetric about zero)
-    fiber = FiberChannel(k2=2.0**-85, geometric_length=256.0, passes="go_and_return")
-    scale = 2.0 * fiber.k2 * fiber.z
-    omegas = state.grid.omegas
-    z = state.grid.zero_index
-    for k in (1, 7, 100, z):
-        window = PostSelectionWindow(center=0.0, half_width=omegas[z + k] * scale)
-        assert -window.half_width / scale == omegas[z - k]
-        assert window.half_width / scale == omegas[z + k]
-        assert assert_same_selection(state, fiber, window).n_samples == 2 * k + 1
+def whole_fraction(state):
+    """The continuum norm over +-omega_max over the grid's norm: 1 - 6.4e-11 at n = 512."""
+    rho = state.pol @ continuum_gram(state, -np.inf, np.inf).conj() @ state.pol.conj().T
+    return np.trace(rho).real / state.norm()
 
 
-def test_postselect_band_matches_mask_on_any_window(state, fiber, rng):
+def test_postselect_matches_continuum_oracle_on_any_window(state, fiber, rng):
     tf = tau_f(fiber, state.crystal)
     span = 2.0 * fiber.k2 * fiber.z * state.grid.omega_max  # tau of the grid's last sample
     windows = [
@@ -429,23 +401,26 @@ def test_postselect_band_matches_mask_on_any_window(state, fiber, rng):
         PostSelectionWindow(0.0, 1e300),  # both edges overflow to -inf / +inf
         PostSelectionWindow(0.3 * tf, 1e300),
         PostSelectionWindow(3.0 * span, tf / 50),  # wholly outside: empty
+        PostSelectionWindow(0.3 * tf, 1e-9 * tf),  # narrower than one grid cell
     ]
     for _ in range(200):
         windows.append(PostSelectionWindow(rng.uniform(-1.2, 1.2) * span,
                                            10.0 ** rng.uniform(-3.0, 0.5) * span))
-    for window in windows:
-        assert_same_selection(state, fiber, window)
-    assert postselect(state, fiber, windows[4]).n_samples == state.grid.n_used
-    assert postselect(state, fiber, windows[5]).n_samples == state.grid.n_used
+    for k, window in enumerate(windows):
+        assert_same_selection(state, fiber, window, random_unitary(rng) if k % 2 else None)
+    assert whole_fraction(state) == pytest.approx(1.0 - 6.4e-11, abs=1e-12)
+    for window in windows[4:7]:
+        assert postselect(state, fiber, window).selected_fraction == pytest.approx(
+            whole_fraction(state), abs=1e-12)
 
 
-def test_postselect_band_matches_mask_at_subnormal_dispersion(state):
-    # k2 z is subnormal, so every finite window maps to the whole grid
+def test_postselect_matches_continuum_oracle_at_subnormal_dispersion(state):
+    # k2 z is subnormal, so every finite window maps to the whole band
     fiber = FiberChannel(k2=5e-324, geometric_length=240.0, passes="go_and_return")
     assert 0.0 < fiber.k2 * fiber.z < 2.2250738585072014e-308
     for window in (PostSelectionWindow(0.0, 1.3824e-11), PostSelectionWindow(1e-300, 1e300)):
         res = assert_same_selection(state, fiber, window)
-        assert res.n_samples == state.grid.n_used
+        assert res.selected_fraction == pytest.approx(whole_fraction(state), abs=1e-12)
 
 
 def test_postselect_nan_edge_selects_nothing(state):
@@ -453,22 +428,142 @@ def test_postselect_nan_edge_selects_nothing(state):
     fiber = FiberChannel(k2=1e300, geometric_length=1e10, passes="go_and_return")
     window = PostSelectionWindow(1e308, 1e308)
     assert assert_same_selection(state, fiber, window) is None  # both raise
+    with pytest.raises(ConfigurationError, match="window carries 0 of"):
+        postselect(state, fiber, window)
 
 
 def test_selected_fractions_of_a_tiling_sum_to_one(state, rng):
-    # windows whose edges sit halfway between samples tile the grid, so every
-    # sample is selected once and the fractions add up to the whole norm
+    # windows that tile the band, the outer two reaching past its ends, select
+    # the whole continuum norm once: the grid's norm times 1 - 6.4e-11 at n = 512
     fiber = FiberChannel(k2=2.0**-85, geometric_length=256.0, passes="go_and_return")
     scale = 2.0 * fiber.k2 * fiber.z
-    grid = state.grid
-    cuts = np.sort(rng.choice(np.arange(2, grid.n_used - 1), size=20, replace=False))
-    edges = (np.concatenate(([0], cuts, [grid.n_used])) - grid.zero_index - 0.5) * grid.domega
+    w = state.grid.omega_max
+    edges = np.concatenate(([-1.01 * w], np.sort(rng.uniform(-w, w, size=20)), [1.01 * w]))
     # a generic (non-unitary) plate mixes the rows and scales the total norm;
     # an arbitrary 4x2 block also weighs the imaginary part of a band's Gram
     plate = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     pol = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
     for st in (state, apply_local(state, plate), replace(state, pol=pol)):
-        results = [assert_same_selection(st, fiber, PostSelectionWindow(
+        results = [postselect(st, fiber, PostSelectionWindow(
             0.5 * (lo + hi) * scale, 0.5 * (hi - lo) * scale)) for lo, hi in zip(edges, edges[1:])]
-        assert sum(res.n_samples for res in results) == grid.n_used
-        assert sum(res.selected_fraction for res in results) == pytest.approx(1.0, abs=1e-12)
+        total = sum(res.selected_fraction for res in results)
+        assert total == pytest.approx(whole_fraction(st), abs=1e-12)
+        assert total != pytest.approx(1.0, abs=1e-11)  # not the grid's sum
+
+
+def test_window_gram_matches_quadrature_oracle(state, rng):
+    w = state.grid.omega_max
+    bands = [(-2.0 * w, 2.0 * w), (0.9 * w, 1.5 * w), (-1.5 * w, -0.9 * w), (1.1 * w, 1.2 * w),
+             (-np.inf, np.inf), (0.0, 1e-12 * w)]
+    for _ in range(60):
+        center, half = rng.uniform(-1.3, 1.3) * w, 10.0 ** rng.uniform(-5.0, 0.5) * w
+        bands.append((center - half, center + half))
+    for lo, hi in bands:
+        np.testing.assert_allclose(_window_gram(state, lo, hi), continuum_gram(state, lo, hi),
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_window_gram_does_not_move_with_twice_the_nodes(state, fiber, rng, monkeypatch):
+    w = state.grid.omega_max
+    bands = [(c - h, c + h) for c, h in zip(rng.uniform(-1.3, 1.3, 30) * w,
+                                            10.0 ** rng.uniform(-5.0, 0.5, 30) * w)]
+    tf = tau_f(fiber, state.crystal)
+    windows = [PostSelectionWindow(c, h) for c in (0.0, 0.5 * np.pi * tf, 2.0 * tf)
+               for h in (tf / 50, tf / 2, 5.0 * tf)]
+
+    def values():
+        grams = [_window_gram(state, lo, hi) for lo, hi in bands]
+        results = [postselect(state, fiber, window) for window in windows]
+        return np.concatenate([np.ravel(grams), *(
+            (res.psi_plus_fidelity, res.psi_minus_fidelity, res.selected_fraction,
+             *res.density.ravel()) for res in results)])
+
+    before = values()
+    monkeypatch.setattr(correlation, "_gauss_legendre", lambda: np.polynomial.legendre.leggauss(64))
+    assert np.max(np.abs(values() - before)) <= 1e-13
+
+
+def test_postselect_does_not_depend_on_the_grid_size(crystal, fiber):
+    # the band is integrated on the continuum; only the norm comes from the grid
+    # (2^21 samples, as the bell-fine-grid benchmark runs)
+    tf = tau_f(fiber, crystal)
+    states = [pdc_state(crystal, FrequencyGrid(n, 8.0 * np.pi / crystal.tau0))
+              for n in (512, 2**21)]
+    for center in (0.0, 0.5 * np.pi * tf):
+        for half_width in (tf / 50, tf / 2):
+            small, large = (postselect(st, fiber, PostSelectionWindow(center, half_width))
+                            for st in states)
+            assert small.psi_plus_fidelity == pytest.approx(large.psi_plus_fidelity, abs=1e-12)
+            assert small.psi_minus_fidelity == pytest.approx(large.psi_minus_fidelity, abs=1e-12)
+            # the two grids' norms differ by 6.4e-11 of the continuum's
+            assert small.selected_fraction == pytest.approx(large.selected_fraction, rel=1e-10)
+
+
+def test_wide_window_selects_a_mixture(state, fiber):
+    # over tau_f / 2 the rows e^{+-i Omega tau0} turn a quarter period apart; a
+    # coherent average of the band would still report psi+ fidelity 1
+    tf = tau_f(fiber, state.crystal)
+    res = postselect(state, fiber, PostSelectionWindow(0.0, tf / 2))
+    assert res.psi_plus_fidelity == pytest.approx(0.922457, abs=5e-7)
+    assert np.trace(res.density).real == pytest.approx(1.0, abs=1e-15)
+    assert np.trace(res.density @ res.density).real < 0.9  # purity: a mixed state
+
+
+def test_postselect_of_a_state_of_tiny_scale(state, fiber):
+    # |x|^2 of the band is subnormal at a polarization block of 1e-155: the
+    # state is still selected, and one of 1e-170 carries no norm at all
+    tf = tau_f(fiber, state.crystal)
+    w = PostSelectionWindow(0.0, tf / 50)
+    base = postselect(state, fiber, w)
+    tiny = postselect(replace(state, pol=state.pol * 1e-155), fiber, w)
+    assert tiny.psi_plus_fidelity == pytest.approx(base.psi_plus_fidelity, abs=1e-9)
+    np.testing.assert_allclose(tiny.density, base.density, rtol=0.0, atol=1e-9)
+    with pytest.raises(ConfigurationError, match="window carries 0 of 0 total norm"):
+        postselect(replace(state, pol=state.pol * 1e-170), fiber, w)
+
+
+def test_window_of_too_many_half_lobes_is_config_error(crystal, fiber):
+    # 40,000 lobes each side: 160,000 half-lobe panels of 32 nodes, more than 2^22
+    state = pdc_state(crystal, FrequencyGrid(512, 40000.0 * np.pi / crystal.tau0))
+    with pytest.raises(ConfigurationError, match="quadrature nodes"):
+        postselect(state, fiber, PostSelectionWindow(0.0, 1e300))
+    tf = tau_f(fiber, crystal)
+    assert postselect(state, fiber, PostSelectionWindow(0.0, tf / 50)).psi_plus_fidelity > 0.999
+
+
+def _unitary(a, b, t, g):
+    return np.exp(1j * g) * np.array([[np.exp(1j * a) * np.cos(t), -np.exp(-1j * b) * np.sin(t)],
+                                      [np.exp(1j * b) * np.sin(t), np.exp(-1j * a) * np.cos(t)]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(center=hst.floats(-1.5, 1.5), half=hst.floats(1e-6, 2.0), split=hst.floats(0.0, 1.0),
+       angles=hst.tuples(*[hst.floats(-np.pi, np.pi)] * 4),
+       parts=hnp.arrays(float, (2, 4, 2), elements=hst.floats(-1.0, 1.0)))
+def test_window_state_properties(center, half, split, angles, parts):
+    # windows in units of the grid's band, some past its ends; a random
+    # unitary analyzer frame and a random 4x2 polarization block
+    crystal = CrystalParams(pump_wavelength=351e-9, gvm=2.0e-10, length=0.5e-3)
+    state = pdc_state(crystal, FrequencyGrid(n=512, omega_max=8.0 * np.pi / crystal.tau0))
+    fiber = FiberChannel(k2=3.6e-26, geometric_length=240.0, passes="go_and_return")
+    w = state.grid.omega_max
+    lo, hi = (center - half) * w, (center + half) * w
+    mid = lo + split * (hi - lo)
+    whole = _window_gram(state, lo, hi)
+    parts_sum = _window_gram(state, lo, mid) + _window_gram(state, mid, hi)
+    assert np.max(np.abs(whole - parts_sum)) <= 1e-15
+    pol = parts[0] + 1j * parts[1]
+    assume(np.linalg.norm(pol) > 1e-3)
+    st = replace(state, pol=pol / np.linalg.norm(pol))  # a state of unit scale
+    span = 2.0 * fiber.k2 * fiber.z * w
+    try:
+        res = postselect(st, fiber, PostSelectionWindow(center * span, half * span),
+                         basis=_unitary(*angles))
+    except ConfigurationError:  # the band holds at most 1e-12 of this block's norm
+        return
+    rho = res.density
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
+    assert np.min(np.linalg.eigvalsh(rho)) >= -1e-15 * np.trace(rho).real
+    # both in [0, 1]: each is nonnegative, and their sum is at most 1 up to rounding
+    assert res.psi_plus_fidelity >= 0.0 and res.psi_minus_fidelity >= 0.0
+    assert res.psi_plus_fidelity + res.psi_minus_fidelity <= 1.0 + 1e-12

@@ -123,6 +123,43 @@ def test_lockstep_writer_refuses_a_file_named_twice(tmp_path, monkeypatch):
         assert not (tmp_path / "c.csv").exists()
 
 
+def test_lockstep_writer_refuses_a_directory_before_writing(tmp_path):
+    (tmp_path / "b.csv").mkdir()
+    with pytest.raises(ValueError, match="directory"):
+        write_csvs([(tmp_path / "a.csv", {"x": [1, 2]}, {}), (tmp_path / "b.csv", {"y": [3]}, {})])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv"]
+
+
+def test_lockstep_writer_failing_part_way_leaves_every_file_as_it_was(tmp_path, monkeypatch):
+    # the second block's formatting fails after both files hold a header and a block
+    monkeypatch.setattr(csvio, "_BLOCK_ROWS", 4)
+    (tmp_path / "a.csv").write_bytes(b"earlier")
+    column_text = csvio._column_text
+
+    def failing(a):
+        if len(calls) == 2:
+            raise RuntimeError("formatting failed")
+        calls.append(len(a))
+        return column_text(a)
+
+    calls = []
+    monkeypatch.setattr(csvio, "_column_text", failing)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_csvs([(tmp_path / "a.csv", {"x": np.arange(10)}, {}),
+                    (tmp_path / "b.csv", {"y": np.ones(10)}, {})])
+    assert calls == [4, 4]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+    assert (tmp_path / "a.csv").read_bytes() == b"earlier"
+
+
+def test_lockstep_writer_files_take_the_mode_open_gives(tmp_path):
+    write_csvs([(tmp_path / "a.csv", {"x": [1]}, {})])
+    with open(tmp_path / "b.csv", "w"):
+        pass
+    assert (tmp_path / "a.csv").stat().st_mode == (tmp_path / "b.csv").stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
+
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "r.csv", {"a": [1.0, 2.0], "b": [1.0]}, {})

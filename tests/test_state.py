@@ -17,13 +17,13 @@ from biphoton import (
     apply_local,
     faraday_mirror,
     pdc_state,
-    polarization_overlap,
     random_unitary,
     retarder,
     round_trip,
 )
 from biphoton import state as state_module
 from biphoton.state import _both_photons, _sinc_sums
+from oracles import polarization_overlap
 
 
 def test_crystal_derived_quantities(crystal):
