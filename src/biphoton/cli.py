@@ -300,9 +300,12 @@ def _require_dispersion(cfg: ScenarioConfig) -> float:
 # tracemalloc peaks: a grid point takes about 121 bytes in g2-curves and 140 in
 # histogram at 2^16 points (0.3 in bell-postselect at 2^21), so 2^22 points cost about
 # 0.5 to 0.6 GiB; the histogram's channel-law temporaries, about 3 MiB at any size,
-# are set by coincidence._CHUNK.  A plate-surface row takes about 48 bytes on a
-# cube lattice and up to 80 with a single plate, whose g2 temporaries are as
-# long as the columns, so 2^22 rows cost at most about 0.33 GiB.  A histogram
+# are set by coincidence._CHUNK.  The state's Gram integral takes 64 nodes per lobe
+# of grid.half_range_lobes at any grid.n: 0.05 ms at the default 8 lobes, 0.39 s and
+# 454 MiB at the 65,536-lobe cap (40,000 lobes: 0.23 s, 277 MiB), where bell-postselect's
+# four (pdc_state, each window's norm, the header's) take 1.7 s.  A plate-surface row
+# takes about 48 bytes on a cube lattice and up to 80 with a single plate, whose g2
+# temporaries are as long as the columns, so 2^22 rows cost at most 0.33 GiB.  A histogram
 # channel takes about 74 bytes, both arms' channel laws and shares being held
 # at once, so 2^22 channels cost 0.29 GiB; that is the peak's growth from 2^18
 # to 2^19 channels, as at 2^16 channels the 5.1 MiB peak is still mostly the
@@ -327,9 +330,20 @@ def _check_work(what: str, amount: float, unit: str, cap: int) -> None:
         raise ConfigurationError(f"{what} = {amount:.3g} {unit}, more than {cap}")
 
 
+@contextlib.contextmanager
+def _config_keys(keys: str):
+    """Prefix a ConfigurationError raised inside with the config keys (and values) behind it."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{keys}: {exc}") from exc
+
+
 def _plate_state(cfg: ScenarioConfig):
     _check_work("grid.n", cfg.grid.n, "grid points", _MAX_GRID_N)
-    state = pdc_state(cfg.crystal, cfg.grid)
+    # past 65,536 lobes the state's Gram integral needs more than MAX_WINDOW_NODES nodes
+    with _config_keys(f"grid.half_range_lobes = {cfg['grid.half_range_lobes']}"):
+        state = pdc_state(cfg.crystal, cfg.grid)
     return apply_local(state, retarder(cfg.plate.delta, cfg.plate.alpha))
 
 
@@ -341,8 +355,11 @@ def scenario_g2_curves(cfg: ScenarioConfig) -> Result:
     ana_minus = g2_analytic(minus.tau_grid, scale, cfg.plate, "minus")
     num_peak = max(plus.g2.max(), minus.g2.max())
     ana_peak = max(ana_plus.max(), ana_minus.max())
+    rows = state.rows(0, cfg.grid.n_used)  # the grid's sum of |amp|^2 dOmega misses 1 by:
+    grid_gram = rows.conj() @ rows.T * cfg.grid.domega
+    grid_norm = np.einsum("pi,ij,pj->", state.pol.conj(), grid_gram, state.pol).real
     header = {"normalization": "joint peak of the plus/minus pair",
-              "diag.norm_residual": abs(state.norm() - 1.0),
+              "diag.grid_norm_error": abs(float(grid_norm) - 1.0),
               "diag.chirp_edge_step_rad": chirp_edge_step(cfg.grid, cfg.fiber)}
     return [(f"g2_{name}.csv",
              {"tau_s": result.tau_grid, "g2_analytic": ana / ana_peak,
@@ -404,7 +421,10 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> Result:
         "psi_plus": PostSelectionWindow(0.0, half_width),
         "psi_minus": PostSelectionWindow(np.pi * scale / 2.0, half_width),
     }
-    results = {name: postselect(state, cfg.fiber, window) for name, window in windows.items()}
+    results = {}
+    for name, window in windows.items():
+        with _config_keys(f"postselect.half_width_s = {half_width!r} s, {name} window"):
+            results[name] = postselect(state, cfg.fiber, window)
     report = [f"{name}: window center {windows[name].center:.6g} s, "
               f"psi+ fidelity {res.psi_plus_fidelity:.6f}, "
               f"psi- fidelity {res.psi_minus_fidelity:.6f}" for name, res in results.items()]

@@ -17,7 +17,6 @@ convention in the chain is consistent, which the test suite pins down.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -32,9 +31,6 @@ from .state import PSI_MINUS, PSI_PLUS, BiphotonState, FrequencyGrid, _both_phot
 Normalization = Literal["raw"]
 
 FAR_FIELD_EDGE_STEP = np.pi / 4.0  # chirp_edge_step (rad) from which g2 is the far-field image
-# The 32-node Gauss-Legendre rule of a half-lobe window panel; numpy.polynomial loads on first use.
-_gauss_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(32))
-MAX_WINDOW_NODES = 1 << 22  # nodes of one window at most: the command line's largest grid
 
 
 @dataclass(frozen=True)
@@ -200,26 +196,6 @@ class PostSelectionResult:
     selected_fraction: float  # tr rho over the state's norm: its share inside the band
 
 
-def _window_gram(state: BiphotonState, lo: float, hi: float) -> np.ndarray:
-    """Integral of conj(r) r^T of the spectral rows r over [lo, hi] within +-omega_max.
-
-    One Gauss-Legendre panel per half lobe pi / (2 tau0) the band meets: exact
-    to rounding.  An empty band, or one with a nan edge, gives 0.
-    """
-    lo, hi = max(lo, -state.grid.omega_max), min(hi, state.grid.omega_max)
-    if not lo < hi:
-        return np.zeros((2, 2), dtype=complex)
-    half_lobe, (nodes, weights) = np.pi / (2.0 * state.crystal.tau0), _gauss_legendre()
-    first, last = math.floor(lo / half_lobe), math.ceil(hi / half_lobe)
-    if (last - first) * len(nodes) > MAX_WINDOW_NODES:
-        raise ConfigurationError(f"window band [{lo:.3g}, {hi:.3g}] rad/s spans {last - first} "
-                                 f"half lobes, more than {MAX_WINDOW_NODES} quadrature nodes")
-    edges = np.clip(np.arange(first, last + 1) * half_lobe, lo, hi)
-    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
-    rows = state.rows_at((mid[:, None] + half[:, None] * nodes).ravel())
-    return (rows.conj() * (half[:, None] * weights).ravel()) @ rows.T
-
-
 def postselect(
     state: BiphotonState,
     fiber: FiberChannel,
@@ -240,7 +216,7 @@ def postselect(
     lo, hi = sorted((window.center + side * window.half_width) / (2.0 * k2z) for side in (-1, 1))
     pol = state.pol if basis is None else _both_photons(basis, state.pol)
     # rho = pol conj(G) pol^dagger = x x^dagger, x = pol c, conj(G) = c c^dagger: psd to rounding
-    lam, vec = np.linalg.eigh(_window_gram(state, lo, hi).conj())
+    lam, vec = np.linalg.eigh(state.gram(lo, hi).conj())
     x = pol @ (vec * np.sqrt(np.clip(lam, 0.0, None)))
     band_norm, total = float(np.sum(np.abs(x) ** 2)), state.norm()
     if band_norm <= 1e-12 * total:

@@ -58,7 +58,9 @@ def test_g2_curves_outputs(tmp_path):
         assert gap < 1e-6
         assert meta["arm"] == arm
         assert float(meta["derived.tau_f_s"]) == pytest.approx(TAU_F, rel=1e-12)
-        assert 0.0 <= float(meta["diag.norm_residual"]) < 1e-12
+        # the grid's sum of |amp|^2 dOmega against the continuum norm 1, at n = 512
+        assert "diag.norm_residual" not in meta
+        assert float(meta["diag.grid_norm_error"]) == pytest.approx(6.4e-11, rel=0.01)
         # analytic column is reproducible from the stored delay axis
         tau = np.asarray(columns["tau_s"])
         ref = g2_analytic(tau, TAU_F, which=arm)
@@ -762,7 +764,7 @@ def test_tau0_underflow_is_config_error(tmp_path, capsys):
 def test_bell_window_past_the_grid_keeps_every_sample(tmp_path, capsys, override, code):
     # both edges map beyond the grid (overflowing to +-inf): the band is the
     # whole of +-omega_max, not an error, and holds the continuum's norm,
-    # 1 - 6.4e-11 of the grid's at n = 512
+    # which is the state's norm
     assert run(tmp_path, "bell-postselect", override) == code
     if code:
         assert "chirp edge step" in capsys.readouterr().err
@@ -771,17 +773,35 @@ def test_bell_window_past_the_grid_keeps_every_sample(tmp_path, capsys, override
     cfg = cli._load_config(None, {})
     state = pdc_state(cfg.crystal, cfg.grid)
     whole = np.trace(continuum_gram(state, -np.inf, np.inf)).real / state.norm()
-    assert whole == pytest.approx(1.0 - 6.4e-11, abs=1e-12)
-    np.testing.assert_allclose(columns["selected_fraction"], whole, rtol=0.0, atol=1e-12)
+    assert whole == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(columns["selected_fraction"], 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_bell_window_of_too_many_half_lobes_is_config_error(tmp_path, capsys):
-    # 40,000 lobes each side: the whole band takes 160,000 half-lobe panels of
-    # 32 nodes, more than the 2^22 that the largest grid has
+    # 65,537 lobes each side: the state's Gram integral would take 262,148
+    # half-lobe panels of 16 nodes, more than the 2^22 that the largest grid
+    # has; pdc_state refuses before it allocates, whatever the window
+    for extra in ((), ("--postselect.half_width_s=1e300",)):
+        assert run(tmp_path, "bell-postselect", "--grid.half_range_lobes=65537", *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid.half_range_lobes = 65537:")
+        assert "more than 4194304 quadrature nodes" in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_bell_whole_band_of_40000_lobes_gives_a_result(tmp_path):
+    # 160,000 half-lobe panels of 16 nodes fit the 2^22 nodes
     assert run(tmp_path, "bell-postselect", "--grid.half_range_lobes=40000",
-               "--postselect.half_width_s=1e300") == 2
+               "--postselect.half_width_s=1e300") == 0
+    columns, _ = read_csv(tmp_path / "out" / "bell_postselect.csv")
+    np.testing.assert_allclose(columns["selected_fraction"], 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_too_narrow_bell_window_names_its_key(tmp_path, capsys):
+    assert run(tmp_path, "bell-postselect", "--postselect.half_width_s=1e-30") == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "quadrature nodes" in err
+    assert err.startswith("config error: postselect.half_width_s = 1e-30 s, psi_plus window:")
+    assert "window carries" in err
     assert not (tmp_path / "out").exists()
 
 

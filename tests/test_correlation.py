@@ -29,8 +29,7 @@ from biphoton import (
     tau_f,
     visibility,
 )
-from biphoton import correlation
-from biphoton.correlation import _window_gram
+from biphoton import state as state_module
 from oracles import continuum_gram, continuum_postselect, exact_transform, far_field_image
 
 TAU_F = 6.912e-10
@@ -384,7 +383,7 @@ def assert_same_selection(state, fiber, window, basis=None):
 
 
 def whole_fraction(state):
-    """The continuum norm over +-omega_max over the grid's norm: 1 - 6.4e-11 at n = 512."""
+    """The oracle's continuum norm over +-omega_max over the state's norm: 1 to rounding."""
     rho = state.pol @ continuum_gram(state, -np.inf, np.inf).conj() @ state.pol.conj().T
     return np.trace(rho).real / state.norm()
 
@@ -408,7 +407,7 @@ def test_postselect_matches_continuum_oracle_on_any_window(state, fiber, rng):
                                            10.0 ** rng.uniform(-3.0, 0.5) * span))
     for k, window in enumerate(windows):
         assert_same_selection(state, fiber, window, random_unitary(rng) if k % 2 else None)
-    assert whole_fraction(state) == pytest.approx(1.0 - 6.4e-11, abs=1e-12)
+    assert whole_fraction(state) == pytest.approx(1.0, abs=1e-12)
     for window in windows[4:7]:
         assert postselect(state, fiber, window).selected_fraction == pytest.approx(
             whole_fraction(state), abs=1e-12)
@@ -434,7 +433,7 @@ def test_postselect_nan_edge_selects_nothing(state):
 
 def test_selected_fractions_of_a_tiling_sum_to_one(state, rng):
     # windows that tile the band, the outer two reaching past its ends, select
-    # the whole continuum norm once: the grid's norm times 1 - 6.4e-11 at n = 512
+    # the whole continuum norm once, and the state's norm is that integral
     fiber = FiberChannel(k2=2.0**-85, geometric_length=256.0, passes="go_and_return")
     scale = 2.0 * fiber.k2 * fiber.z
     w = state.grid.omega_max
@@ -446,9 +445,7 @@ def test_selected_fractions_of_a_tiling_sum_to_one(state, rng):
     for st in (state, apply_local(state, plate), replace(state, pol=pol)):
         results = [postselect(st, fiber, PostSelectionWindow(
             0.5 * (lo + hi) * scale, 0.5 * (hi - lo) * scale)) for lo, hi in zip(edges, edges[1:])]
-        total = sum(res.selected_fraction for res in results)
-        assert total == pytest.approx(whole_fraction(st), abs=1e-12)
-        assert total != pytest.approx(1.0, abs=1e-11)  # not the grid's sum
+        assert sum(res.selected_fraction for res in results) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_window_gram_matches_quadrature_oracle(state, rng):
@@ -459,7 +456,7 @@ def test_window_gram_matches_quadrature_oracle(state, rng):
         center, half = rng.uniform(-1.3, 1.3) * w, 10.0 ** rng.uniform(-5.0, 0.5) * w
         bands.append((center - half, center + half))
     for lo, hi in bands:
-        np.testing.assert_allclose(_window_gram(state, lo, hi), continuum_gram(state, lo, hi),
+        np.testing.assert_allclose(state.gram(lo, hi), continuum_gram(state, lo, hi),
                                    rtol=0.0, atol=1e-12)
 
 
@@ -472,19 +469,20 @@ def test_window_gram_does_not_move_with_twice_the_nodes(state, fiber, rng, monke
                for h in (tf / 50, tf / 2, 5.0 * tf)]
 
     def values():
-        grams = [_window_gram(state, lo, hi) for lo, hi in bands]
+        grams = [state.gram(lo, hi) for lo, hi in bands]
         results = [postselect(state, fiber, window) for window in windows]
         return np.concatenate([np.ravel(grams), *(
             (res.psi_plus_fidelity, res.psi_minus_fidelity, res.selected_fraction,
              *res.density.ravel()) for res in results)])
 
     before = values()
-    monkeypatch.setattr(correlation, "_gauss_legendre", lambda: np.polynomial.legendre.leggauss(64))
+    monkeypatch.setattr(state_module, "_gauss_legendre",
+                        lambda: np.polynomial.legendre.leggauss(32))
     assert np.max(np.abs(values() - before)) <= 1e-13
 
 
 def test_postselect_does_not_depend_on_the_grid_size(crystal, fiber):
-    # the band is integrated on the continuum; only the norm comes from the grid
+    # the band and the norm are integrated on the continuum, whatever the grid
     # (2^21 samples, as the bell-fine-grid benchmark runs)
     tf = tau_f(fiber, crystal)
     states = [pdc_state(crystal, FrequencyGrid(n, 8.0 * np.pi / crystal.tau0))
@@ -495,8 +493,7 @@ def test_postselect_does_not_depend_on_the_grid_size(crystal, fiber):
                             for st in states)
             assert small.psi_plus_fidelity == pytest.approx(large.psi_plus_fidelity, abs=1e-12)
             assert small.psi_minus_fidelity == pytest.approx(large.psi_minus_fidelity, abs=1e-12)
-            # the two grids' norms differ by 6.4e-11 of the continuum's
-            assert small.selected_fraction == pytest.approx(large.selected_fraction, rel=1e-10)
+            assert small.selected_fraction == pytest.approx(large.selected_fraction, abs=1e-12)
 
 
 def test_wide_window_selects_a_mixture(state, fiber):
@@ -523,10 +520,11 @@ def test_postselect_of_a_state_of_tiny_scale(state, fiber):
 
 
 def test_window_of_too_many_half_lobes_is_config_error(crystal, fiber):
-    # 40,000 lobes each side: 160,000 half-lobe panels of 32 nodes, more than 2^22
-    state = pdc_state(crystal, FrequencyGrid(512, 40000.0 * np.pi / crystal.tau0))
+    # 65,537 lobes each side: 262,148 half-lobe panels of 16 nodes, more than
+    # 2^22; the state's own Gram integral is the widest band, so pdc_state stops
     with pytest.raises(ConfigurationError, match="quadrature nodes"):
-        postselect(state, fiber, PostSelectionWindow(0.0, 1e300))
+        pdc_state(crystal, FrequencyGrid(512, 65537.0 * np.pi / crystal.tau0))
+    state = pdc_state(crystal, FrequencyGrid(512, 40000.0 * np.pi / crystal.tau0))
     tf = tau_f(fiber, crystal)
     assert postselect(state, fiber, PostSelectionWindow(0.0, tf / 50)).psi_plus_fidelity > 0.999
 
@@ -549,8 +547,8 @@ def test_window_state_properties(center, half, split, angles, parts):
     w = state.grid.omega_max
     lo, hi = (center - half) * w, (center + half) * w
     mid = lo + split * (hi - lo)
-    whole = _window_gram(state, lo, hi)
-    parts_sum = _window_gram(state, lo, mid) + _window_gram(state, mid, hi)
+    whole = state.gram(lo, hi)
+    parts_sum = state.gram(lo, mid) + state.gram(mid, hi)
     assert np.max(np.abs(whole - parts_sum)) <= 1e-15
     pol = parts[0] + 1j * parts[1]
     assume(np.linalg.norm(pol) > 1e-3)

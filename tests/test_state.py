@@ -1,7 +1,6 @@
 """Two-photon spectral state: construction, local operations, overlaps."""
 
 import copy
-import math
 import pickle
 from dataclasses import replace
 
@@ -22,8 +21,8 @@ from biphoton import (
     round_trip,
 )
 from biphoton import state as state_module
-from biphoton.state import _both_photons, _sinc_sums
-from oracles import polarization_overlap
+from biphoton.state import BiphotonState, _both_photons
+from oracles import continuum_gram, polarization_overlap
 
 
 def test_crystal_derived_quantities(crystal):
@@ -93,16 +92,23 @@ def test_pdc_state_exchange_symmetry(state):
     )
 
 
+def continuum_total(crystal, grid):
+    """Oracle: the integral of |amp|^2 of the unit-scale pair amplitude over
+    +-omega_max, twice that of one row (scipy quad)."""
+    unit = BiphotonState(grid=grid, crystal=crystal, pol=np.eye(4, 2), scale=1.0)
+    return 2.0 * continuum_gram(unit, -np.inf, np.inf)[0, 0].real
+
+
 def dense_pdc_amp(crystal, grid):
     """Oracle: sinc and two exponentials over the whole grid, normalized by
-    the sum of |amp|^2 over all four polarization blocks."""
+    the continuum integral of |amp|^2."""
     tau0 = crystal.tau0
     omega = grid.omegas
     envelope = np.sinc(omega * tau0 / np.pi).astype(complex)
     amp = np.zeros((2, 2, grid.n_used), dtype=complex)
     amp[0, 1, :] = envelope * np.exp(1j * omega * tau0)
     amp[1, 0, :] = envelope * np.exp(-1j * omega * tau0)
-    amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * grid.domega)
+    amp /= np.sqrt(continuum_total(crystal, grid))
     return amp
 
 
@@ -121,59 +127,55 @@ def test_pdc_state_matches_dense_formula(crystal, n):
 @pytest.mark.parametrize("lobes", [1, 8])
 def test_norm_and_gram_are_exact_on_a_fine_grid(crystal, lobes):
     # a narrow envelope on 2^21 samples: a BLAS dot over the grid put the
-    # norm 3.2e-14 off; the Gram matrix of the rows gives it to rounding
+    # norm 3.2e-14 off; the Gram matrix gives it to rounding, and this grid's
+    # sum meets the continuum's within rounding too
     grid = FrequencyGrid(n=2**21, omega_max=lobes * np.pi / crystal.tau0)
     st = pdc_state(crystal, grid)
     assert abs(st.norm() - 1.0) <= 4e-16
     rows = st.rows(0, grid.n_used)
     # the rows as evaluated integrate to the norm and match their Gram matrix
     assert abs(np.sum(np.square(rows.view(float))) * grid.domega - 1.0) <= 1e-15
-    np.testing.assert_allclose(st.gram, rows.conj() @ rows.T * grid.domega, rtol=0, atol=2e-15)
+    np.testing.assert_allclose(st.gram(), rows.conj() @ rows.T * grid.domega, rtol=0, atol=2e-15)
 
 
-def sinc_sums_by_fsum(m, step):
-    """Sum sinc^2 and sinc^2 sin^2 of k step over k = -m..m, from np.sin(k step) / (k step)."""
-    theta = np.arange(1, m + 1) * step
-    sin = np.sin(theta)
-    sinc2 = np.square(sin / theta)
-    return 1.0 + 2.0 * math.fsum(sinc2), 2.0 * math.fsum(sinc2 * np.square(sin))
+@pytest.mark.parametrize("n", [256, 512, 2**21])
+@pytest.mark.parametrize("lobes", [1, 8])
+def test_state_gram_matches_the_continuum_oracle(crystal, n, lobes):
+    st = pdc_state(crystal, FrequencyGrid(n=n, omega_max=lobes * np.pi / crystal.tau0))
+    np.testing.assert_allclose(st.gram(), continuum_gram(st, -np.inf, np.inf), rtol=0, atol=1e-13)
 
 
-def grid_step(n, lobes):
-    """dOmega tau0 on an n-point grid of omega_max = lobes pi / tau0."""
-    return 2.0 * lobes * np.pi / (n - 2)
+@pytest.mark.parametrize("lobes", [1, 8])
+def test_state_gram_does_not_depend_on_the_grid_size(crystal, lobes):
+    small, large = (pdc_state(crystal, FrequencyGrid(n=n, omega_max=lobes * np.pi / crystal.tau0))
+                    for n in (512, 2**21))
+    assert small.scale == pytest.approx(large.scale, rel=1e-15)
+    np.testing.assert_allclose(small.gram(), large.gram(), rtol=0, atol=1e-15)
 
 
-# m = n/2 - 1 at n = 256 (less than one block); at no power of two, far blocks
-# then a partial last one; the first far block alone, then a partial one; at
-# n = 2^18, one and two lobes, and at n = 2^21, eight lobes and one (a block
-# spans 0.003 rad there, so every cos^u table row is close to 1); and at the
-# coarsest grid, step pi/2
-SINC_SIZES = [(127, grid_step(256, 8)), (3 * 2**14 + 1234, 16.0 * np.pi / 100772),
-              (17 * 2**10 + 517, grid_step(2**16, 8)),
-              (2**17 - 1, grid_step(2**18, 1)), (2**17 - 1, grid_step(2**18, 2)),
-              (2**20 - 1, grid_step(2**21, 8)), (2**20 - 1, grid_step(2**21, 1)),
-              (2**17 - 1, np.pi / 2)]
+def test_grid_sum_of_the_rows_misses_the_norm_by_the_sampling_error(crystal, grid):
+    # 6.4e-11 at n = 512; at 2^21 it is rounding (test_norm_and_gram_are_exact_on_a_fine_grid)
+    rows = pdc_state(crystal, grid).rows(0, grid.n_used)
+    assert 1e-11 < abs(np.sum(np.square(rows.view(float))) * grid.domega - 1.0) <= 1e-10
 
 
-# Blocks of 7 far out in a large grid take the series from a short table.  Blocks
-# of 2^16 sum every sample term by term; at step pi/2 their 2^16-term w @ s2
-# (sequential BLAS accumulation) is 3.6e-15 off, so that pair is left out.
-@pytest.mark.parametrize("m, step, block", [(m, step, block) for m, step in SINC_SIZES
-                                            for block in (None, 7, 2**16)
-                                            if not (block == 2**16 and step == np.pi / 2)])
-def test_sinc_sums_match_fsum_of_closed_form(monkeypatch, m, step, block):
-    if block is not None:
-        monkeypatch.setattr(state_module, "_BLOCK", block)
-    got = _sinc_sums(m, step)
-    for value, want in zip(got, sinc_sums_by_fsum(m, step)):
-        assert value == pytest.approx(want, rel=2e-15, abs=0.0)
+def test_state_of_the_most_lobes_fits_the_node_cap(monkeypatch):
+    # 16 nodes per half lobe, 4 half lobes per lobe: a cap of 448 nodes takes 7
+    # lobes each side; omega_max = 7 pi / tau0 rounds either way of 14 half lobes,
+    # and a count of panels is one or two over for 40 of these 300 crystals
+    monkeypatch.setattr(state_module, "MAX_WINDOW_NODES", 448)
+    rng = np.random.default_rng(5)
+    for gvm, length in zip(10.0 ** rng.uniform(-14, -8, 300), 10.0 ** rng.uniform(-5, -1, 300)):
+        crystal = CrystalParams(pump_wavelength=351e-9, gvm=gvm, length=length)
+        pdc_state(crystal, FrequencyGrid(n=256, omega_max=7 * np.pi / crystal.tau0))
+        with pytest.raises(ConfigurationError, match="quadrature nodes"):
+            pdc_state(crystal, FrequencyGrid(n=256, omega_max=7.01 * np.pi / crystal.tau0))
 
 
 def test_rows_on_any_slice_and_gram_match_the_whole_grid(crystal, grid, rng):
     st = pdc_state(crystal, grid)
     whole = st.rows(0, grid.n_used)
-    np.testing.assert_allclose(st.gram, whole.conj() @ whole.T * grid.domega, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(st.gram(), continuum_gram(st, -np.inf, np.inf), rtol=0, atol=1e-15)
     for start, stop in ((0, 1), (grid.zero_index, grid.zero_index + 1), (3, 300),
                         *(np.sort(rng.choice(grid.n_used + 1, 2, replace=False))
                           for _ in range(10))):
@@ -183,15 +185,16 @@ def test_rows_on_any_slice_and_gram_match_the_whole_grid(crystal, grid, rng):
 
 def test_norm_follows_the_gram_matrix_for_any_block(crystal, grid, rng):
     # a non-unitary element changes the norm, and so does an arbitrary 4x2
-    # block; the contraction with the Gram matrix still equals the sum over
-    # the materialized amplitude
+    # block; the contraction with the Gram matrix still equals the same
+    # contraction with the quadrature oracle's
     state = pdc_state(crystal, grid)
     u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     pol = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    gram = continuum_gram(state, -np.inf, np.inf)
     for st in (apply_local(state, u), replace(state, pol=pol)):
-        dense = np.sum(np.abs(st.amp) ** 2) * grid.domega
-        assert st.norm() == pytest.approx(dense, rel=1e-14)
-        assert abs(dense - 1.0) > 1e-3
+        expected = np.einsum("pi,ij,pj->", st.pol.conj(), gram, st.pol).real
+        assert st.norm() == pytest.approx(expected, rel=1e-14)
+        assert abs(expected - 1.0) > 1e-3
 
 
 def test_pdc_rejects_narrow_grid(crystal):
@@ -222,7 +225,7 @@ def test_state_survives_pickle_and_deepcopy(crystal, grid):
     whole = state.rows(0, grid.n_used)
     for copied in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
         assert np.array_equal(copied.rows(0, grid.n_used), whole)
-        assert np.array_equal(copied.gram, state.gram)
+        assert np.array_equal(copied.gram(), state.gram())
 
 
 def test_apply_local_identity_and_composition(state, rng):
