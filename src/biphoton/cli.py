@@ -40,7 +40,6 @@ from .coincidence import (
     simulate_histograms,
 )
 from .correlation import (
-    FAR_FIELD_EDGE_STEP,
     PLUS_MINUS,
     PLUS_PLUS,
     PostSelectionWindow,
@@ -48,6 +47,7 @@ from .correlation import (
     g2_analytic,
     g2_numeric,
     postselect,
+    require_far_field,
 )
 from .csvio import write_csvs
 from .errors import ConfigurationError
@@ -296,23 +296,22 @@ def _require_dispersion(cfg: ScenarioConfig) -> float:
     return scale
 
 
-# Work bounds of one run, checked before anything is allocated.  Measured
-# tracemalloc peaks: a grid point takes about 121 bytes in g2-curves and 140 in
-# histogram at 2^16 points (0.3 in bell-postselect at 2^21), so 2^22 points cost about
-# 0.5 to 0.6 GiB; the histogram's channel-law temporaries, about 3 MiB at any size,
-# are set by coincidence._CHUNK.  The state's Gram integral takes 64 nodes per lobe
-# of grid.half_range_lobes at any grid.n: 0.05 ms at the default 8 lobes, 0.39 s and
-# 454 MiB at the 65,536-lobe cap (40,000 lobes: 0.23 s, 277 MiB), where bell-postselect's
-# four (pdc_state, each window's norm, the header's) take 1.7 s.  A plate-surface row
-# takes about 48 bytes on a cube lattice and up to 80 with a single plate, whose g2
-# temporaries are as long as the columns, so 2^22 rows cost at most 0.33 GiB.  A histogram
-# channel takes about 74 bytes, both arms' channel laws and shares being held
-# at once, so 2^22 channels cost 0.29 GiB; that is the peak's growth from 2^18
-# to 2^19 channels, as at 2^16 channels the 5.1 MiB peak is still mostly the
-# channel-law temporaries.  A walk step takes about 120 bytes (its draws, the
-# blocked prefix scan and the operator stack), so 2^22 steps cost about 0.5 GiB;
-# a drift-series row about 250 bytes (operators, round trips and the
-# visibility's entry arrays), so 2^20 rows cost about 0.25 GiB.
+# Work bounds of one run, checked before anything is allocated.  Measured tracemalloc peaks: a
+# grid point takes about 121 bytes in g2-curves and 140 in histogram at 2^16 points, so 2^22
+# points cost about 0.5 to 0.6 GiB; bell-postselect evaluates nothing per grid point, so the
+# cap covers those two.  The histogram's channel-law temporaries, about 3 MiB at any size, are
+# set by coincidence._CHUNK.  The state's Gram integral takes 64 nodes per lobe of
+# grid.half_range_lobes at any grid.n: 0.05 ms at the default 8 lobes, 0.39 s and 454 MiB at
+# the 65,536-lobe cap (40,000 lobes: 0.23 s, 277 MiB), where bell-postselect's four
+# (pdc_state, each window's norm, the header's) take 1.7 s.  A plate-surface row takes about
+# 48 bytes on a cube lattice and up to 80 with a single plate, whose g2 temporaries are as
+# long as the columns, so 2^22 rows cost at most 0.33 GiB.  A histogram channel takes about
+# 74 bytes, both arms' channel laws and shares being held at once, so 2^22 channels cost
+# 0.29 GiB; that is the peak's growth from 2^18 to 2^19 channels, as at 2^16 channels the
+# 5.1 MiB peak is still mostly the channel-law temporaries.  A walk step takes about 120 bytes
+# (its draws, the blocked prefix scan and the operator stack), so 2^22 steps cost about
+# 0.5 GiB; a drift-series row about 250 bytes (operators, round trips and the visibility's
+# entry arrays), so 2^20 rows cost about 0.25 GiB.
 _MAX_GRID_N = 1 << 22
 _MAX_SURFACE_ROWS = 1 << 22
 _MAX_HISTOGRAM_CHANNELS = 1 << 22
@@ -340,7 +339,6 @@ def _config_keys(keys: str):
 
 
 def _plate_state(cfg: ScenarioConfig):
-    _check_work("grid.n", cfg.grid.n, "grid points", _MAX_GRID_N)
     # past 65,536 lobes the state's Gram integral needs more than MAX_WINDOW_NODES nodes
     with _config_keys(f"grid.half_range_lobes = {cfg['grid.half_range_lobes']}"):
         state = pdc_state(cfg.crystal, cfg.grid)
@@ -349,13 +347,14 @@ def _plate_state(cfg: ScenarioConfig):
 
 def scenario_g2_curves(cfg: ScenarioConfig) -> Result:
     scale = _require_dispersion(cfg)
+    _check_work("grid.n", cfg.grid.n, "grid points", _MAX_GRID_N)
     state = _plate_state(cfg)
     plus, minus = (g2_numeric(state, cfg.fiber, arms) for arms in (PLUS_PLUS, PLUS_MINUS))
     ana_plus = g2_analytic(plus.tau_grid, scale, cfg.plate, "plus")
     ana_minus = g2_analytic(minus.tau_grid, scale, cfg.plate, "minus")
     num_peak = max(plus.g2.max(), minus.g2.max())
     ana_peak = max(ana_plus.max(), ana_minus.max())
-    rows = state.rows(0, cfg.grid.n_used)  # the grid's sum of |amp|^2 dOmega misses 1 by:
+    rows = state.rows_at(cfg.grid.omegas)  # the grid's sum of |amp|^2 dOmega misses 1 by:
     grid_gram = rows.conj() @ rows.T * cfg.grid.domega
     grid_norm = np.einsum("pi,ij,pj->", state.pol.conj(), grid_gram, state.pol).real
     header = {"normalization": "joint peak of the plus/minus pair",
@@ -410,17 +409,12 @@ def scenario_plate_surface(cfg: ScenarioConfig) -> Result:
 
 def scenario_bell_postselect(cfg: ScenarioConfig) -> Result:
     scale = _require_dispersion(cfg)
-    edge_step = chirp_edge_step(cfg.grid, cfg.fiber)
-    if edge_step < FAR_FIELD_EDGE_STEP:  # the window-to-band map tau = 2 k2 z Omega does not hold
-        raise ConfigurationError(
-            f"chirp edge step {edge_step:.3g} rad is below pi/4: raise |fiber.k2_s2_per_m| or "
-            f"fiber.geometric_length_m, or lower grid.n")
+    with _config_keys("fiber.k2_s2_per_m, fiber.geometric_length_m"):
+        require_far_field(cfg.fiber, cfg.crystal)
     state = _plate_state(cfg)
     half_width = cfg["postselect.half_width_s"]
-    windows = {
-        "psi_plus": PostSelectionWindow(0.0, half_width),
-        "psi_minus": PostSelectionWindow(np.pi * scale / 2.0, half_width),
-    }
+    windows = {name: PostSelectionWindow(center, half_width)
+               for name, center in (("psi_plus", 0.0), ("psi_minus", np.pi * scale / 2.0))}
     results = {}
     for name, window in windows.items():
         with _config_keys(f"postselect.half_width_s = {half_width!r} s, {name} window"):
@@ -437,7 +431,7 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> Result:
             **{key: [getattr(res, key) for res in results.values()]
                for key in ("psi_plus_fidelity", "psi_minus_fidelity", "selected_fraction")},
         },
-        {"diag.norm_residual": abs(state.norm() - 1.0), "diag.chirp_edge_step_rad": edge_step},
+        {"diag.norm_residual": abs(state.norm() - 1.0)},
     )], report
 
 
@@ -483,13 +477,15 @@ def scenario_histogram(cfg: ScenarioConfig) -> Result:
                 _MAX_POISSON_TOTAL)
     _check_work("expected background total from detector.dark_rate_per_channel_hz",
                 det.dark_background_rate * acquisition * n_channels, "counts", _MAX_POISSON_TOTAL)
+    _check_work("grid.n", cfg.grid.n, "grid points", _MAX_GRID_N)
     state = _plate_state(cfg)
     plus, minus = (g2_numeric(state, cfg.fiber, arms) for arms in (PLUS_PLUS, PLUS_MINUS))
     # Arm seeds from SeedSequence([seed, arm]): no arm replays another seed's arm.
     seeds = [int(np.random.SeedSequence([cfg["sim.seed"], arm]).generate_state(1, np.uint64)[0])
              for arm in (0, 1)]
-    hists = simulate_histograms([plus, minus], det, pair_rate, acquisition, channel_width, seeds,
-                                n_channels, pair_transmittance)
+    with _config_keys("detector.jitter_sigma_s, grid.n, histogram.n_channels"):
+        hists = simulate_histograms([plus, minus], det, pair_rate, acquisition, channel_width,
+                                    seeds, n_channels, pair_transmittance)
     window = PostSelectionWindow(0.0, cfg["histogram.visibility_half_width_s"])
     est = estimate_visibility(*hists, window)
     how = ("background subtracted" if est.background_channels

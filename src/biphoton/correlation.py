@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .fiber import FiberChannel
 from .jones import RetarderSpec, analyzer_vector
-from .state import PSI_MINUS, PSI_PLUS, BiphotonState, FrequencyGrid, _both_photons
+from .state import PSI_MINUS, PSI_PLUS, BiphotonState, CrystalParams, FrequencyGrid, _both_photons
 
 Normalization = Literal["raw"]
 
@@ -115,8 +115,7 @@ def chirp_edge_step(grid: FrequencyGrid, fiber: FiberChannel) -> float:
 
     Below pi/4 the grid samples the chirp and ``g2_numeric`` transforms it
     exactly.  At pi/4 or above the coincidence pattern is the far-field image
-    on tau = 2 k2 z Omega, the map ``g2_numeric`` then uses and the one by
-    which ``postselect`` turns a time window into a detuning band.
+    on tau = 2 k2 z Omega, the map ``g2_numeric`` then uses.
     """
     return abs(fiber.k2 * fiber.z) * grid.omega_max * grid.domega
 
@@ -133,19 +132,19 @@ def g2_numeric(
     far-field image |A(Omega)|^2 on tau = 2 k2 z Omega, the strong-dispersion
     limit that ``g2_analytic`` gives.  Expects the state before dispersion.
     """
-    grid = state.grid
+    grid, omegas = state.grid, state.grid.omegas
     e1, e2 = (analyzer_vector(theta).conj() for theta in (analyzer.theta1, analyzer.theta2))
-    a = np.kron(e1, e2) @ state.pol @ state.rows(0, grid.n_used)  # projected amplitude
+    a = np.kron(e1, e2) @ state.pol @ state.rows_at(omegas)  # projected amplitude
     k2z = fiber.k2 * fiber.z
     if chirp_edge_step(grid, fiber) >= FAR_FIELD_EDGE_STEP:
-        tau = 2.0 * k2z * grid.omegas
+        tau = 2.0 * k2z * omegas
         g2 = np.abs(a) ** 2
         if tau[1] < tau[0]:
             tau = tau[::-1]
             g2 = g2[::-1]
         return CorrelationResult(tau_grid=tau, g2=g2, analyzer=analyzer)
     b = np.zeros(grid.n, dtype=complex)
-    b[: grid.n_used] = a * np.exp(1j * k2z * grid.omegas**2)
+    b[: grid.n_used] = a * np.exp(1j * k2z * omegas**2)
     dtau = 2.0 * np.pi / (grid.n * grid.domega)
     spectrum = np.fft.fftshift(np.fft.fft(b))
     g2 = (grid.domega * np.abs(spectrum[1:])) ** 2
@@ -192,8 +191,18 @@ class PostSelectionResult:
     density: np.ndarray = field(repr=False)  # 4x4 rho / tr rho, index 2 s1 + s2
     psi_plus_fidelity: float
     psi_minus_fidelity: float
-    band: tuple[float, float]
     selected_fraction: float  # tr rho over the state's norm: its share inside the band
+
+
+def require_far_field(fiber: FiberChannel, crystal: CrystalParams) -> None:
+    """Raise ConfigurationError unless |tau_f| = 2 |k2 z| / tau0 is at least 1000 tau0.
+
+    Only there does a window select a band through tau = 2 k2 z Omega (Kolner, IEEE JQE
+    30, 1951 (1994)): its psi- fidelity exceeds the time domain's by 0.40 (tau0 / tau_f)^2.
+    """
+    scale, least = abs(2.0 * (fiber.k2 * fiber.z)) / crystal.tau0, 1000.0 * crystal.tau0
+    if not scale >= least:
+        raise ConfigurationError(f"|tau_f| = {scale:.3g} s is below 1000 tau0 = {least:.3g} s")
 
 
 def postselect(
@@ -204,15 +213,14 @@ def postselect(
 ) -> PostSelectionResult:
     """Polarization state selected by a coincidence-time window.
 
-    The window maps to a detuning band through the far-field tau = 2 k2 z Omega
-    (the command line requires ``chirp_edge_step >= pi/4``).  Distinct detection
-    times are distinguishable outcomes, so the band selects the mixture
+    The window maps to a detuning band through the far-field tau = 2 k2 z Omega,
+    which ``require_far_field`` checks first.  Distinct detection times are
+    distinguishable outcomes, so the band selects the mixture
     rho = pol conj(G) pol^dagger of its Gram matrix G; ``basis`` first rotates
     both photons, pol -> kron(B, B) pol.  A fidelity is <psi|rho|psi> / tr rho.
     """
+    require_far_field(fiber, state.crystal)
     k2z = fiber.k2 * fiber.z
-    if k2z == 0.0:
-        raise ConfigurationError("post-selection needs nonzero k2 * z")
     lo, hi = sorted((window.center + side * window.half_width) / (2.0 * k2z) for side in (-1, 1))
     pol = state.pol if basis is None else _both_photons(basis, state.pol)
     # rho = pol conj(G) pol^dagger = x x^dagger, x = pol c, conj(G) = c c^dagger: psd to rounding
@@ -224,5 +232,4 @@ def postselect(
                                  "(below 1e-12)")
     x = x / math.sqrt(band_norm)  # rho / tr rho = x x^dagger; 1 / band_norm may overflow
     fidelities = [float(np.sum(abs(psi.ravel().conj() @ x) ** 2)) for psi in (PSI_PLUS, PSI_MINUS)]
-    return PostSelectionResult(x @ x.conj().T, *fidelities, band=(lo, hi),
-                               selected_fraction=band_norm / total)
+    return PostSelectionResult(x @ x.conj().T, *fidelities, selected_fraction=band_norm / total)

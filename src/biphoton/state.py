@@ -88,7 +88,7 @@ class FrequencyGrid:
 
 @dataclass
 class BiphotonState:
-    """Pair amplitude amp[s1, s2, k] = sum_j pol[2 s1 + s2, j] rows(start, stop)[j, k - start].
+    """Pair amplitude amp[s1, s2, k] = sum_j pol[2 s1 + s2, j] rows_at(grid.omegas)[j, k].
 
     The two spectral rows are scale * sinc(Omega tau0) e^{+-i Omega tau0}.
     """
@@ -106,14 +106,10 @@ class BiphotonState:
         phase = (np.cos(theta) + 1j * sin) * self.scale
         return np.stack((phase, phase.conj())) * env
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """The two spectral rows on samples start..stop-1, shape (2, stop - start)."""
-        return self.rows_at((np.arange(start, stop) - self.grid.zero_index) * self.grid.domega)
-
     @property
     def amp(self) -> np.ndarray:
         """The (2, 2, n_used) amplitude amp[s1, s2, k], materialized on the whole grid."""
-        return (self.pol @ self.rows(0, self.grid.n_used)).reshape(2, 2, -1)
+        return (self.pol @ self.rows_at(self.grid.omegas)).reshape(2, 2, -1)
 
     def gram(self, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
         """Integral of conj(r) r^T of the spectral rows r over [lo, hi] within +-omega_max.

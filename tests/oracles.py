@@ -28,7 +28,7 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
 def projected_amplitude(state, analyzer) -> np.ndarray:
     """Pair amplitude A(Omega) on the grid behind the two analyzers."""
     e1, e2 = (analyzer_vector(theta).conj() for theta in (analyzer.theta1, analyzer.theta2))
-    return np.kron(e1, e2) @ state.pol @ state.rows(0, state.grid.n_used)
+    return np.kron(e1, e2) @ state.pol @ state.rows_at(state.grid.omegas)
 
 
 def far_field_image(state, fiber, analyzer):
@@ -105,3 +105,27 @@ def continuum_postselect(state, fiber, window, basis=None):
     fidelities = [(psi.ravel().conj() @ rho @ psi.ravel()).real / trace
                   for psi in (PSI_PLUS, PSI_MINUS)]
     return rho / trace, *fidelities, trace / state.norm()
+
+
+def time_domain_window_gram(state, fiber, window, nodes=64, chunk=1 << 12) -> np.ndarray:
+    """Integral of conj(R) R^T / (2 pi) over the window's tau, R the chirped rows in time.
+
+    R(tau) = sum over the grid of r(Omega) e^{i k2 z Omega^2} e^{-i Omega tau} dOmega, a
+    direct transform that is exact where the grid samples the chirp, with the rows
+    written out in closed form; tau runs over ``nodes`` Gauss-Legendre nodes of the
+    window.  No far-field map enters.  The grid is taken in chunks of ``chunk``
+    samples, each chunk's kernel e^{-i Omega_0 tau} e^{-i j dOmega tau} from one table.
+    """
+    grid, tau0, k2z = state.grid, state.crystal.tau0, fiber.k2 * fiber.z
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    tau = window.center + window.half_width * x
+    steps = np.exp(-1j * np.outer(np.arange(chunk) * grid.domega, tau))
+    big_r = np.zeros((2, nodes), dtype=complex)
+    omegas = grid.omegas
+    for start in range(0, len(omegas), chunk):
+        omega = omegas[start : start + chunk]
+        env = state.scale * np.sinc(omega * tau0 / np.pi) * np.exp(1j * k2z * omega**2)
+        rows = np.stack((env * np.exp(1j * omega * tau0), env * np.exp(-1j * omega * tau0)))
+        big_r += (rows @ steps[: len(omega)]) * np.exp(-1j * omega[0] * tau)
+    big_r *= grid.domega
+    return (big_r.conj() * (window.half_width * w)) @ big_r.T / (2.0 * np.pi)

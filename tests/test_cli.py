@@ -37,6 +37,7 @@ from biphoton import (
 )
 from biphoton import coincidence
 from biphoton import fiber as fiber_module
+from biphoton.correlation import chirp_edge_step
 from biphoton.csvio import read_csv, write_csv, write_csvs
 from biphoton.jones import ATOL_COMPOSED
 from oracles import continuum_gram, continuum_postselect
@@ -166,22 +167,47 @@ def test_bell_postselect_reports_fidelities(tmp_path, capsys):
     assert 0.0 <= float(meta["diag.norm_residual"]) < 1e-12
 
 
+def test_bell_postselect_does_not_depend_on_grid_n(tmp_path, monkeypatch, capsys):
+    # the windows and the norm are integrated on the continuum and nothing is
+    # evaluated per grid point, so grid.n reaches only the run record: past the
+    # 2^22 points g2-curves and histogram allow, and at 2^50 and 2^65, the file,
+    # stdout and exit code are those of the default n = 512
+    outputs = {}
+    for n in (256, 512, 2**21, 2**23, 2**50, 2**65):
+        (tmp_path / str(n)).mkdir()
+        monkeypatch.chdir(tmp_path / str(n))  # the same relative output dir for every n
+        assert cli.main(["bell-postselect", f"--grid.n={n}", "--sim.output_dir=out"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = (tmp_path / str(n) / "out" / "bell_postselect.csv").read_text().splitlines()
+        assert f"# config.grid.n = {n}" in lines
+        assert not any("chirp_edge_step" in line for line in lines)
+        outputs[n] = [line for line in lines if line != f"# config.grid.n = {n}"], out
+    assert all(value == outputs[512] for value in outputs.values())
+
+
 @pytest.mark.parametrize("overrides, step", [((), 1.71e4), (("--grid.n=2097152",), 4.16),
                                              (("--fiber.k2_s2_per_m=1e-30",), 0.476)])
 def test_bell_postselect_reports_chirp_edge_step(tmp_path, capsys, overrides, step):
-    # |k2 z| omega_max dOmega; below pi/4 (the weak fiber) the far-field map
-    # from window to band does not hold, and the scenario refuses to run
-    if step < np.pi / 4.0:
-        assert run(tmp_path, "bell-postselect", *overrides) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and f"{step:.3g} rad" in err
-        assert all(key in err for key in ("fiber.k2_s2_per_m", "fiber.geometric_length_m",
-                                          "grid.n"))
+    # |k2 z| omega_max dOmega is the sampling step of g2's grid at the band
+    # edge. bell-postselect samples no grid: its file reports no step, and the
+    # step, above pi/4 or below it, does not decide whether it runs. |tau_f| does:
+    # 13,824 tau0 at the paper's fiber gives the default fidelities at either
+    # grid, and 0.384 tau0 on the weak fiber is refused on the fiber keys alone.
+    cfg = cli._load_config(None, cli._parse_overrides(list(overrides)))
+    assert chirp_edge_step(cfg.grid, cfg.fiber) == pytest.approx(step, rel=2e-3)
+    code = run(tmp_path, "bell-postselect", *overrides)
+    out, err = capsys.readouterr()
+    if overrides == ("--fiber.k2_s2_per_m=1e-30",):
+        assert code == 2 and out == ""
+        assert err.startswith("config error: fiber.k2_s2_per_m, fiber.geometric_length_m: ")
+        assert "is below 1000 tau0" in err and "grid.n" not in err and "rad" not in err
         assert not (tmp_path / "out").exists()
         return
-    assert run(tmp_path, "bell-postselect", *overrides) == 0
+    assert code == 0 and err == ""
+    assert "psi+ fidelity 0.999867" in out and "psi- fidelity 0.999867" in out
     _, meta = read_csv(tmp_path / "out" / "bell_postselect.csv")
-    assert float(meta["diag.chirp_edge_step_rad"]) == pytest.approx(step, rel=2e-3)
+    assert "diag.chirp_edge_step_rad" not in meta
 
 
 def test_drift_series_columns(tmp_path):
@@ -266,7 +292,7 @@ def fail(*args, **kwargs):
     raise AssertionError("the guard must stop the run before this call")
 
 
-@pytest.mark.parametrize("scenario", ["bell-postselect", "g2-curves", "histogram"])
+@pytest.mark.parametrize("scenario", ["g2-curves", "histogram"])
 @pytest.mark.parametrize("n", [2**50, 2**65])
 def test_huge_grid_is_config_error(tmp_path, monkeypatch, capsys, scenario, n):
     # 2^50 points ran until killed: the Gram pass had 2^35 blocks to go
@@ -331,7 +357,7 @@ def test_largest_allowed_grid_reaches_the_state(tmp_path, monkeypatch, capsys):
         raise RuntimeError("pdc_state reached")
 
     monkeypatch.setattr(cli, "pdc_state", reached)
-    assert run(tmp_path, "bell-postselect", f"--grid.n={cli._MAX_GRID_N}") == 3
+    assert run(tmp_path, "g2-curves", f"--grid.n={cli._MAX_GRID_N}") == 3
     assert "pdc_state reached" in capsys.readouterr().err
 
 
@@ -524,6 +550,20 @@ def test_jitter_past_the_channel_law_is_config_error(tmp_path, capsys, jitter):
     assert run(tmp_path, "histogram", f"--detector.jitter_sigma_s={jitter}") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "jitter_sigma" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, detail", [
+    (("--detector.jitter_sigma_s=1e-5",), "jitter_sigma = 1e-05 s: sqrt(2) jitter_sigma spans"),
+    (("--grid.n=65536", "--histogram.channel_width_s=1e-13", "--detector.jitter_sigma_s=2e-8",
+      "--histogram.n_channels=4194304"), "the channel law needs 4194305 channel edges"),
+], ids=["smear", "terms"])
+def test_histogram_channel_law_errors_name_their_keys(tmp_path, capsys, overrides, detail):
+    # the smear and term caps read the jitter, the g2 grid and the channel count
+    assert run(tmp_path, "histogram", *overrides) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: detector.jitter_sigma_s, grid.n, histogram.n_channels: "
+                          + detail)
     assert not (tmp_path / "out").exists()
 
 
@@ -758,7 +798,7 @@ def test_tau0_underflow_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("override, code", [
     pytest.param("--postselect.half_width_s=1e300", 0, id="--postselect.half_width_s=1e300"),
-    # the window edges would overflow here too, but the chirp edge step is far below pi/4
+    # the window edges would overflow here too, but |tau_f| is far below 1000 tau0
     pytest.param("--fiber.k2_s2_per_m=5e-324", 2, id="--fiber.k2_s2_per_m=5e-324"),
 ])
 def test_bell_window_past_the_grid_keeps_every_sample(tmp_path, capsys, override, code):
@@ -767,7 +807,8 @@ def test_bell_window_past_the_grid_keeps_every_sample(tmp_path, capsys, override
     # which is the state's norm
     assert run(tmp_path, "bell-postselect", override) == code
     if code:
-        assert "chirp edge step" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "config error: fiber.k2_s2_per_m, fiber.geometric_length_m: |tau_f| = ")
         return
     columns, _ = read_csv(tmp_path / "out" / "bell_postselect.csv")
     cfg = cli._load_config(None, {})
@@ -795,6 +836,19 @@ def test_bell_whole_band_of_40000_lobes_gives_a_result(tmp_path):
                "--postselect.half_width_s=1e300") == 0
     columns, _ = read_csv(tmp_path / "out" / "bell_postselect.csv")
     np.testing.assert_allclose(columns["selected_fraction"], 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_bell_on_a_weak_fiber_names_the_fiber_keys(tmp_path, capsys):
+    # tau_f = 2 k2 z / tau0 = 3.84 tau0: the far-field map from window to band
+    # overstates the psi- window's fidelity there by about 0.03, so the run
+    # exits 2, naming the keys that set tau_f and both times in seconds
+    assert run(tmp_path, "bell-postselect", "--fiber.k2_s2_per_m=1e-29",
+               "--postselect.half_width_s=3.84e-15") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: fiber.k2_s2_per_m, fiber.geometric_length_m: "
+                   "|tau_f| = 1.92e-13 s is below 1000 tau0 = 5e-11 s\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_too_narrow_bell_window_names_its_key(tmp_path, capsys):

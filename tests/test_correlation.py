@@ -11,6 +11,8 @@ from hypothesis.extra import numpy as hnp
 from biphoton import (
     PLUS_MINUS,
     PLUS_PLUS,
+    PSI_MINUS,
+    PSI_PLUS,
     AnalyzerConfig,
     ConfigurationError,
     CorrelationResult,
@@ -30,7 +32,13 @@ from biphoton import (
     visibility,
 )
 from biphoton import state as state_module
-from oracles import continuum_gram, continuum_postselect, exact_transform, far_field_image
+from oracles import (
+    continuum_gram,
+    continuum_postselect,
+    exact_transform,
+    far_field_image,
+    time_domain_window_gram,
+)
 
 TAU_F = 6.912e-10
 
@@ -414,12 +422,56 @@ def test_postselect_matches_continuum_oracle_on_any_window(state, fiber, rng):
 
 
 def test_postselect_matches_continuum_oracle_at_subnormal_dispersion(state):
-    # k2 z is subnormal, so every finite window maps to the whole band
+    # k2 z is subnormal: the far-field map would send every finite window to the
+    # whole band, as the oracle does, but |tau_f| is far below 1000 tau0, so no
+    # window maps to a band and postselect refuses
     fiber = FiberChannel(k2=5e-324, geometric_length=240.0, passes="go_and_return")
     assert 0.0 < fiber.k2 * fiber.z < 2.2250738585072014e-308
     for window in (PostSelectionWindow(0.0, 1.3824e-11), PostSelectionWindow(1e-300, 1e300)):
-        res = assert_same_selection(state, fiber, window)
-        assert res.selected_fraction == pytest.approx(whole_fraction(state), abs=1e-12)
+        assert continuum_postselect(state, fiber, window)[3] == pytest.approx(
+            whole_fraction(state), abs=1e-12)
+        with pytest.raises(ConfigurationError, match=r"\|tau_f\| = \S+ s is below 1000 tau0"):
+            postselect(state, fiber, window)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_postselect_refuses_below_1000_tau0(state, sign):
+    # |tau_f| = 2 |k2 z| / tau0 from 1000 tau0 on, either sign of k2; k2 = 0 is refused too
+    tau0 = state.crystal.tau0
+    window = PostSelectionWindow(0.0, 1e300)  # the whole band, whatever tau_f
+    for ratio in (1000.0 * (1.0 + 1e-9), 1e4, 1e12):
+        fiber = FiberChannel(k2=sign * ratio * tau0**2 / 2.0, geometric_length=1.0)
+        assert postselect(state, fiber, window).selected_fraction == pytest.approx(1.0, abs=1e-12)
+    for ratio in (1000.0 * (1.0 - 1e-9), 1.0, 0.0):
+        fiber = FiberChannel(k2=sign * ratio * tau0**2 / 2.0, geometric_length=1.0)
+        with pytest.raises(ConfigurationError, match=r"s is below 1000 tau0 = 5e-11 s"):
+            postselect(state, fiber, window)
+
+
+@pytest.mark.parametrize("ratio, n", [(10, 2**18), (30, 2**20)])
+def test_far_field_window_follows_the_time_domain_deficit_law(crystal, ratio, n):
+    # Against the window taken in the time domain (an independent oracle: the
+    # chirped rows transformed directly at Gauss nodes inside the window), the
+    # far-field band overstates the psi- window's fidelity by 0.40 (tau0 / tau_f)^2
+    # at either width, and the psi+ window's by less than 1e-5.  At 1000 tau0,
+    # where postselect starts, that is 4e-7, below the six digits the CLI prints.
+    tau0 = crystal.tau0
+    st = pdc_state(crystal, FrequencyGrid(n, 8.0 * np.pi / tau0))
+    fiber = FiberChannel(k2=ratio * tau0**2 / 200.0, geometric_length=100.0, passes="single")
+    tf = tau_f(fiber, crystal)
+    assert tf == pytest.approx(ratio * tau0, rel=1e-12)
+    # the grid samples the chirp: edge phase step at most 0.025 rad
+    assert abs(fiber.k2 * fiber.z) * st.grid.omega_max * st.grid.domega <= 0.025
+    for half_width in (tf / 50, tf / 10):
+        for k, (psi, center) in enumerate(((PSI_PLUS, 0.0), (PSI_MINUS, 0.5 * np.pi * tf))):
+            window = PostSelectionWindow(center, half_width)
+            far = continuum_postselect(st, fiber, window)[1 + k]
+            rho = st.pol @ time_domain_window_gram(st, fiber, window).conj() @ st.pol.conj().T
+            near = (psi.ravel().conj() @ rho @ psi.ravel()).real / np.trace(rho).real
+            if psi is PSI_PLUS:
+                assert 0.0 <= far - near < 1e-5
+            else:
+                assert 0.38 <= (far - near) * ratio**2 <= 0.42
 
 
 def test_postselect_nan_edge_selects_nothing(state):

@@ -132,7 +132,7 @@ def test_norm_and_gram_are_exact_on_a_fine_grid(crystal, lobes):
     grid = FrequencyGrid(n=2**21, omega_max=lobes * np.pi / crystal.tau0)
     st = pdc_state(crystal, grid)
     assert abs(st.norm() - 1.0) <= 4e-16
-    rows = st.rows(0, grid.n_used)
+    rows = st.rows_at(grid.omegas)
     # the rows as evaluated integrate to the norm and match their Gram matrix
     assert abs(np.sum(np.square(rows.view(float))) * grid.domega - 1.0) <= 1e-15
     np.testing.assert_allclose(st.gram(), rows.conj() @ rows.T * grid.domega, rtol=0, atol=2e-15)
@@ -155,7 +155,7 @@ def test_state_gram_does_not_depend_on_the_grid_size(crystal, lobes):
 
 def test_grid_sum_of_the_rows_misses_the_norm_by_the_sampling_error(crystal, grid):
     # 6.4e-11 at n = 512; at 2^21 it is rounding (test_norm_and_gram_are_exact_on_a_fine_grid)
-    rows = pdc_state(crystal, grid).rows(0, grid.n_used)
+    rows = pdc_state(crystal, grid).rows_at(grid.omegas)
     assert 1e-11 < abs(np.sum(np.square(rows.view(float))) * grid.domega - 1.0) <= 1e-10
 
 
@@ -174,12 +174,13 @@ def test_state_of_the_most_lobes_fits_the_node_cap(monkeypatch):
 
 def test_rows_on_any_slice_and_gram_match_the_whole_grid(crystal, grid, rng):
     st = pdc_state(crystal, grid)
-    whole = st.rows(0, grid.n_used)
     np.testing.assert_allclose(st.gram(), continuum_gram(st, -np.inf, np.inf), rtol=0, atol=1e-15)
+    # the rows are elementwise in the detuning: a slice of the grid gives the same values
+    whole = st.rows_at(grid.omegas)
     for start, stop in ((0, 1), (grid.zero_index, grid.zero_index + 1), (3, 300),
                         *(np.sort(rng.choice(grid.n_used + 1, 2, replace=False))
                           for _ in range(10))):
-        np.testing.assert_allclose(st.rows(start, stop), whole[:, start:stop],
+        np.testing.assert_allclose(st.rows_at(grid.omegas[start:stop]), whole[:, start:stop],
                                    rtol=0, atol=1e-15 * np.max(np.abs(whole)))
 
 
@@ -222,9 +223,9 @@ def test_pdc_accepts_any_one_lobe_grid():
 def test_state_survives_pickle_and_deepcopy(crystal, grid):
     # the state holds data only, so a copy evaluates the same rows bit for bit
     state = pdc_state(crystal, grid)
-    whole = state.rows(0, grid.n_used)
+    whole = state.rows_at(grid.omegas)
     for copied in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
-        assert np.array_equal(copied.rows(0, grid.n_used), whole)
+        assert np.array_equal(copied.rows_at(grid.omegas), whole)
         assert np.array_equal(copied.gram(), state.gram())
 
 
