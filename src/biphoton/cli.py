@@ -296,15 +296,18 @@ def _require_dispersion(cfg: ScenarioConfig) -> float:
     return scale
 
 
-# Work bounds of one run, checked before anything is allocated.  Measured tracemalloc peaks: a
-# grid point takes about 121 bytes in g2-curves and 140 in histogram at 2^16 points, so 2^22
-# points cost about 0.5 to 0.6 GiB; bell-postselect evaluates nothing per grid point, so the
-# cap covers those two.  The histogram's channel-law temporaries, about 3 MiB at any size, are
-# set by coincidence._CHUNK.  The state's Gram integral takes 64 nodes per lobe of
-# grid.half_range_lobes at any grid.n: 0.05 ms at the default 8 lobes, 0.39 s and 454 MiB at
-# the 65,536-lobe cap (40,000 lobes: 0.23 s, 277 MiB), where bell-postselect's four
-# (pdc_state, each window's norm, the header's) take 1.7 s.  A plate-surface row takes about
-# 48 bytes on a cube lattice and up to 80 with a single plate, whose g2 temporaries are as
+# Work bounds of one run, checked before anything is allocated.  Measured tracemalloc peaks of
+# whole runs: a grid point takes about 161 bytes in g2-curves at 2^20 points and 140 in
+# histogram at 2^16, so 2^22 points cost about 0.55 to 0.65 GiB; bell-postselect evaluates
+# nothing per grid point, so the cap covers those two.  The CSV writer adds one text per
+# distinct number of a 131,072-row chunk, about 80 bytes each: up to 60 MiB for g2-curves' six
+# columns, which sets its peak below about 2^19 points.  The histogram's channel-law
+# temporaries, about 3 MiB at any size, are set by coincidence._CHUNK.  The state's Gram
+# integral takes 64 nodes per lobe of grid.half_range_lobes at any grid.n: 0.05 ms at the
+# default 8 lobes, 0.39 s and 454 MiB at the 65,536-lobe cap (40,000 lobes: 0.23 s, 277 MiB),
+# where bell-postselect's two (pdc_state's, and the plated state's that each window's norm and
+# the header share) take 0.8 s of its 1.0 s.  A plate-surface row takes about 48 bytes on a
+# cube lattice and up to 80 with a single plate (at 2^20 rows), whose g2 temporaries are as
 # long as the columns, so 2^22 rows cost at most 0.33 GiB.  A histogram channel takes about
 # 74 bytes, both arms' channel laws and shares being held at once, so 2^22 channels cost
 # 0.29 GiB; that is the peak's growth from 2^18 to 2^19 channels, as at 2^16 channels the
@@ -483,7 +486,8 @@ def scenario_histogram(cfg: ScenarioConfig) -> Result:
     # Arm seeds from SeedSequence([seed, arm]): no arm replays another seed's arm.
     seeds = [int(np.random.SeedSequence([cfg["sim.seed"], arm]).generate_state(1, np.uint64)[0])
              for arm in (0, 1)]
-    with _config_keys("detector.jitter_sigma_s, grid.n, histogram.n_channels"):
+    with _config_keys("detector.jitter_sigma_s, grid.n, histogram.channel_width_s, "
+                      "histogram.n_channels"):
         hists = simulate_histograms([plus, minus], det, pair_rate, acquisition, channel_width,
                                     seeds, n_channels, pair_transmittance)
     window = PostSelectionWindow(0.0, cfg["histogram.visibility_half_width_s"])
@@ -491,7 +495,7 @@ def scenario_histogram(cfg: ScenarioConfig) -> Result:
     how = ("background subtracted" if est.background_channels
            else "background not subtracted: no channel beyond 3 signal supports")
     report = [f"visibility {est.value:.4f} +- {est.sigma:.4f} ({how})"]
-    # Both arms hold the same axis arrays, so csvio formats them once per block.
+    # Both arms hold the same axis arrays, so csvio formats them once per chunk.
     axes = {"channel_index": np.arange(n_channels), "tau_center_s": hists[0].tau_centers()}
     tables = []
     for name, seed, hist in zip(("plus", "minus"), seeds, hists):

@@ -86,7 +86,7 @@ class FrequencyGrid:
         return self.n // 2 - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class BiphotonState:
     """Pair amplitude amp[s1, s2, k] = sum_j pol[2 s1 + s2, j] rows_at(grid.omegas)[j, k].
 
@@ -134,9 +134,14 @@ class BiphotonState:
         rows = self.rows_at((mid[:, None] + half[:, None] * nodes).ravel())
         return (rows.conj() * (half[:, None] * weights).ravel()) @ rows.T
 
+    @functools.cached_property
+    def _whole_band_gram(self) -> np.ndarray:
+        # once per state: the rows depend on the frozen grid, crystal and scale, not on pol
+        return self.gram()
+
     def norm(self) -> float:
         """Total probability integral of |amp|^2 over +-omega_max, from the Gram matrix."""
-        return float(np.einsum("pi,ij,pj->", self.pol.conj(), self.gram(), self.pol).real)
+        return float(np.einsum("pi,ij,pj->", self.pol.conj(), self._whole_band_gram, self.pol).real)
 
 
 def pdc_state(crystal: CrystalParams, grid: FrequencyGrid) -> BiphotonState:

@@ -487,7 +487,7 @@ def test_histogram_header_keys_in_order(tmp_path):
 
 def test_histogram_arms_share_their_axis_arrays(tmp_path, monkeypatch):
     # One write_csvs call, whose files hold the same axis arrays: csvio then
-    # formats each axis once per block for both.
+    # formats each axis once per chunk for both.
     calls = []
     monkeypatch.setattr(cli, "write_csvs", lambda files: calls.append(list(files)))
     assert run(tmp_path, "histogram") == 0
@@ -562,9 +562,28 @@ def test_histogram_channel_law_errors_name_their_keys(tmp_path, capsys, override
     # the smear and term caps read the jitter, the g2 grid and the channel count
     assert run(tmp_path, "histogram", *overrides) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: detector.jitter_sigma_s, grid.n, histogram.n_channels: "
-                          + detail)
+    assert err.startswith("config error: detector.jitter_sigma_s, grid.n, "
+                          "histogram.channel_width_s, histogram.n_channels: " + detail)
     assert not (tmp_path / "out").exists()
+
+
+def test_channel_law_cap_names_the_channel_width_it_reads(tmp_path, monkeypatch, capsys):
+    # The terms grow with the channel edges in reach of the signal, so a
+    # narrower channel alone carries the channel law past its cap.
+    assert run(tmp_path / "fine", "histogram", "--grid.n=65536", "--detector.jitter_sigma_s=2e-8",
+               "--histogram.n_channels=4194304", "--histogram.channel_width_s=1e-13") == 2
+    assert "histogram.channel_width_s" in capsys.readouterr().err
+    terms = []
+    psi = coincidence._psi
+    monkeypatch.setattr(coincidence, "_psi", lambda y, s: terms.append(y.size) or psi(y, s))
+    assert run(tmp_path / "default", "histogram") == 0
+    monkeypatch.setattr(coincidence, "_MAX_TERMS", sum(terms))
+    capsys.readouterr()
+    assert run(tmp_path / "narrow", "histogram", "--histogram.channel_width_s=1e-11") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "histogram.channel_width_s" in err
+    assert "channel edges" in err
+    assert not (tmp_path / "narrow" / "out").exists()
 
 
 def test_channel_law_past_its_term_budget_is_config_error(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """CSV writer: column-wise formatting against the per-cell oracle, round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,9 @@ from biphoton import csvio
 from biphoton.csvio import format_value, read_csv, write_csv, write_csvs
 
 BLOCK = csvio._BLOCK_ROWS
+# Quiet and signalling NaNs with payloads, of both signs: all write as "nan".
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                 0x7FF0000000000001, 0xFFF00000DEADBEEF], dtype=np.uint64).view(np.float64)
 METADATA = {"run.seed": 7, "fiber.k2_s2_per_m": 3.6e-26, "flag": True, "note": "plain text"}
 
 
@@ -27,7 +32,7 @@ def write_csv_per_cell(path, columns, metadata):
 
 def mixed_columns(n_rows, seed=5):
     rng = np.random.default_rng(seed)
-    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.1, 1.0 / 3.0])
+    specials = np.array([0.0, -0.0, *NANS, np.inf, -np.inf, 5e-324, -5e-324, 0.1, 1.0 / 3.0])
     # Specials spread over a column with many repeats and some distinct values.
     f64 = np.where(rng.random(n_rows) < 0.5,
                    specials[rng.integers(0, len(specials), n_rows)],
@@ -35,11 +40,13 @@ def mixed_columns(n_rows, seed=5):
     f32 = rng.normal(size=n_rows).astype(np.float32)
     f32[::7] = -0.0
     i64 = rng.integers(-(2**62), 2**62, n_rows, dtype=np.int64)
+    i8 = rng.integers(-128, 128, n_rows, dtype=np.int8)  # repeats, of both signs
     u64 = rng.integers(0, 2**63, n_rows, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
     return {
         "f64": f64,
         "f32": f32,
         "i64": i64,
+        "i8": i8,
         "u64": u64,
         "flag": rng.random(n_rows) < 0.5,
         "label": np.array(["psi_plus", "psi_minus", "x"])[rng.integers(0, 3, n_rows)],
@@ -53,17 +60,24 @@ def test_write_csv_matches_per_cell_writer(tmp_path, monkeypatch, n_rows):
     columns = mixed_columns(n_rows)
     write_csv_per_cell(tmp_path / "oracle.csv", columns, METADATA)
     expected = (tmp_path / "oracle.csv").read_bytes()
-    write_csv(tmp_path / "blocked.csv", columns, METADATA)
-    assert (tmp_path / "blocked.csv").read_bytes() == expected
-    monkeypatch.setattr(csvio, "_BLOCK_ROWS", 3)
-    write_csv(tmp_path / "small_blocks.csv", columns, METADATA)
-    assert (tmp_path / "small_blocks.csv").read_bytes() == expected
+    write_csv(tmp_path / "default.csv", columns, METADATA)
+    assert (tmp_path / "default.csv").read_bytes() == expected
+    # Small chunks and blocks put the repeats of every special value (0.0 and
+    # -0.0, the NaN payloads, +-inf) in different chunks and blocks; a chunk
+    # need not be a whole number of blocks, nor longer than one.
+    for chunk, block in [(BLOCK, 3), (7, 3), (5, 5), (2, 4), (1, 1)]:
+        monkeypatch.setattr(csvio, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(csvio, "_BLOCK_ROWS", block)
+        write_csv(tmp_path / "small.csv", columns, METADATA)
+        assert (tmp_path / "small.csv").read_bytes() == expected, (chunk, block)
 
 
 @pytest.mark.parametrize("block", [BLOCK, 100])
 def test_lockstep_writer_matches_one_file_writes(tmp_path, monkeypatch, block):
     # Two files share the column arrays "axis" and "repeat" (the same
-    # objects), one file holds one array twice, and a third file is longer.
+    # objects), one file holds one array twice, and a third file is longer;
+    # chunks of one and a half blocks leave a partial block at each chunk's end.
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 3 * block // 2 + 1)
     monkeypatch.setattr(csvio, "_BLOCK_ROWS", block)
     n_rows = 2 * BLOCK + 5
     axis = np.arange(n_rows)
@@ -81,10 +95,11 @@ def test_lockstep_writer_matches_one_file_writes(tmp_path, monkeypatch, block):
         assert (tmp_path / name).read_bytes() == (tmp_path / f"alone_{name}").read_bytes()
 
 
-def test_lockstep_writer_formats_each_distinct_array_once_per_block(tmp_path, monkeypatch):
+def test_lockstep_writer_formats_each_distinct_array_once_per_chunk(tmp_path, monkeypatch):
     # Two files share "axis" and "shared", and the second holds "shared" twice:
-    # four distinct arrays over three blocks.
-    monkeypatch.setattr(csvio, "_BLOCK_ROWS", 4)
+    # four distinct arrays over three chunks of up to two blocks.
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(csvio, "_BLOCK_ROWS", 2)
     n_rows = 10
     axis, shared = np.arange(n_rows), np.linspace(-1.0, 1.0, n_rows)
     files = [
@@ -93,8 +108,9 @@ def test_lockstep_writer_formats_each_distinct_array_once_per_block(tmp_path, mo
                               "own": np.zeros(n_rows)}, {}),
     ]
     calls = []
-    column_text = csvio._column_text
-    monkeypatch.setattr(csvio, "_column_text", lambda a: calls.append(len(a)) or column_text(a))
+    chunk_texts = csvio._chunk_texts
+    monkeypatch.setattr(csvio, "_chunk_texts",
+                        lambda a, suffix: calls.append(len(a)) or chunk_texts(a, suffix))
     write_csvs(files)
     assert sorted(calls) == [2] * 4 + [4] * 8
 
@@ -131,25 +147,42 @@ def test_lockstep_writer_refuses_a_directory_before_writing(tmp_path):
 
 
 def test_lockstep_writer_failing_part_way_leaves_every_file_as_it_was(tmp_path, monkeypatch):
-    # the second block's formatting fails after both files hold a header and a block
-    monkeypatch.setattr(csvio, "_BLOCK_ROWS", 4)
+    # the second chunk's formatting fails after both files hold a header and a chunk's blocks
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(csvio, "_BLOCK_ROWS", 2)
     (tmp_path / "a.csv").write_bytes(b"earlier")
-    column_text = csvio._column_text
+    chunk_texts = csvio._chunk_texts
 
-    def failing(a):
+    def failing(a, suffix):
         if len(calls) == 2:
             raise RuntimeError("formatting failed")
         calls.append(len(a))
-        return column_text(a)
+        return chunk_texts(a, suffix)
 
     calls = []
-    monkeypatch.setattr(csvio, "_column_text", failing)
+    monkeypatch.setattr(csvio, "_chunk_texts", failing)
     with pytest.raises(RuntimeError, match="formatting failed"):
         write_csvs([(tmp_path / "a.csv", {"x": np.arange(10)}, {}),
                     (tmp_path / "b.csv", {"y": np.ones(10)}, {})])
     assert calls == [4, 4]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
     assert (tmp_path / "a.csv").read_bytes() == b"earlier"
+
+
+def test_writer_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch):
+    # All-distinct floats: a text per value held for the whole file would
+    # double the peak from two chunks to four.
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 1 << 13)
+    peaks = []
+    for n_chunks in (2, 4):
+        column = {"x": np.random.default_rng(n_chunks).random(n_chunks << 13)}
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / f"{n_chunks}.csv", column, {})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_lockstep_writer_files_take_the_mode_open_gives(tmp_path):

@@ -229,6 +229,25 @@ def test_state_survives_pickle_and_deepcopy(crystal, grid):
         assert np.array_equal(copied.gram(), state.gram())
 
 
+def test_whole_band_gram_is_integrated_once_per_state(crystal, grid, monkeypatch):
+    # pdc_state normalizes on the unit-scale state's integral; the plated state
+    # integrates once more, however often its norm is read (bell-postselect
+    # reads it for each window and for the header).
+    whole = []
+    gram = BiphotonState.gram
+
+    def counted(self, lo=-np.inf, hi=np.inf):
+        whole.append((lo, hi) == (-np.inf, np.inf))
+        return gram(self, lo, hi)
+
+    monkeypatch.setattr(BiphotonState, "gram", counted)
+    state = apply_local(pdc_state(crystal, grid), retarder(np.pi / 2, np.pi / 8))
+    norms = [state.norm() for _ in range(3)]
+    assert sum(whole) == 2
+    assert norms == [state.norm()] * 3
+    assert norms[0] == float(np.einsum("pi,ij,pj->", state.pol.conj(), gram(state), state.pol).real)
+
+
 def test_apply_local_identity_and_composition(state, rng):
     same = apply_local(state, np.eye(2, dtype=complex))
     np.testing.assert_array_equal(same.amp, state.amp)
