@@ -302,7 +302,7 @@ def _require_dispersion(cfg: ScenarioConfig) -> float:
 # nothing per grid point, so the cap covers those two.  The CSV writer adds one text per
 # distinct number of a 131,072-row chunk, about 80 bytes each: up to 60 MiB for g2-curves' six
 # columns, which sets its peak below about 2^19 points.  The histogram's channel-law
-# temporaries, about 3 MiB at any size, are set by coincidence._CHUNK.  The state's Gram
+# temporaries, about 0.8 MiB at any size, are set by coincidence._CHUNK.  The state's Gram
 # integral takes 64 nodes per lobe of grid.half_range_lobes at any grid.n: 0.05 ms at the
 # default 8 lobes, 0.39 s and 454 MiB at the 65,536-lobe cap (40,000 lobes: 0.23 s, 277 MiB),
 # where bell-postselect's two (pdc_state's, and the plated state's that each window's norm and
@@ -310,11 +310,11 @@ def _require_dispersion(cfg: ScenarioConfig) -> float:
 # cube lattice and up to 80 with a single plate (at 2^20 rows), whose g2 temporaries are as
 # long as the columns, so 2^22 rows cost at most 0.33 GiB.  A histogram channel takes about
 # 74 bytes, both arms' channel laws and shares being held at once, so 2^22 channels cost
-# 0.29 GiB; that is the peak's growth from 2^18 to 2^19 channels, as at 2^16 channels the
-# 5.1 MiB peak is still mostly the channel-law temporaries.  A walk step takes about 120 bytes
-# (its draws, the blocked prefix scan and the operator stack), so 2^22 steps cost about
-# 0.5 GiB; a drift-series row about 250 bytes (operators, round trips and the visibility's
-# entry arrays), so 2^20 rows cost about 0.25 GiB.
+# 0.29 GiB and set the peak from about 2^20 channels; below that the CSV writer's chunk texts
+# do (13.4 MiB at 2^16), and at the default 4,096 the channel-law temporaries (0.9 MiB).  A
+# walk step takes about 97 bytes (its draws and the blocked prefix scan; operators are built
+# only at the samples), so 2^22 steps cost about 0.4 GiB; a drift-series row about 250 bytes
+# (operators, round trips and the visibility's entry arrays), so 2^20 rows cost 0.25 GiB.
 _MAX_GRID_N = 1 << 22
 _MAX_SURFACE_ROWS = 1 << 22
 _MAX_HISTOGRAM_CHANNELS = 1 << 22
@@ -441,11 +441,13 @@ def scenario_bell_postselect(cfg: ScenarioConfig) -> Result:
 def scenario_drift_series(cfg: ScenarioConfig) -> Result:
     duration = cfg["drift_series.duration_s"]
     interval = cfg["drift_series.sample_interval_s"]
-    _check_work("drift_series.duration_s / drift.time_step_s",
-                duration / cfg["drift.time_step_s"], "walk steps", _MAX_DRIFT_STEPS)
     _check_work("drift_series.duration_s / drift_series.sample_interval_s", duration / interval,
                 "rows", _MAX_DRIFT_ROWS)
     times = np.arange(0.0, duration + interval / 2.0, interval)
+    # The walk runs to the last sample, which can lie up to half an interval past the duration.
+    _check_work("last sample's step from drift_series.duration_s, drift_series.sample_interval_s"
+                " and drift.time_step_s", np.floor(float(times[-1]) / cfg["drift.time_step_s"]),
+                "walk steps", _MAX_DRIFT_STEPS)
     # One walk serves both layouts: the round trips are built from the one-way operators.
     u = drift_operators(cfg.drift, times)
     single = channel_visibility(u)

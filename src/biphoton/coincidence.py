@@ -33,7 +33,7 @@ from .jones import analyzer_vector, round_trip
 
 # Terms of the channel law evaluated at once: caps memory (and keeps the
 # temporaries in cache), never changes a result.
-_CHUNK = 1 << 14
+_CHUNK = 1 << 12
 # Beyond this many sigmas the normal CDF is 0 or 1 in double precision.
 _REACH = 9.0
 # Least share of a bin within reach of the signal.  numpy's Poisson sampler

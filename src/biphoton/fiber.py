@@ -9,9 +9,10 @@ image of the spectral amplitude under tau = 2 k2 z Omega.
 Slow polarization drift of the fiber is a seeded random walk on SU(2);
 ``drift_operators`` gives its one-way operators, and the go-and-return
 arrangement is ``jones.round_trip`` of them: the walk is conjugated through
-the Faraday mirror and drops out entirely.  The walk's prefix products are
-taken in blocks of a fixed length, so a longer horizon never changes an
-earlier step's unitary, bit for bit.
+the Faraday mirror and drops out entirely.  ``drift_walk`` builds operators
+only at the step indices it is given.  Its prefix products are taken in blocks
+of a fixed length, and each block's carry by a doubling scan over the blocks
+below it, so a longer horizon never changes an earlier step's unitary, bit for bit.
 """
 
 from __future__ import annotations
@@ -62,34 +63,34 @@ class DriftProcess:
             raise ConfigurationError("time_step must be finite and > 0")
 
 
-def drift_walk(process: DriftProcess, n_steps: int) -> np.ndarray:
-    """Unitaries at walk steps 0..n_steps (inclusive), step 0 = identity.
+def drift_walk(process: DriftProcess, steps) -> np.ndarray:
+    """Unitaries at the walk step indices ``steps`` (1-d ints >= 0), shape (len(steps), 2, 2).
 
-    Each step is an SU(2) rotation, kept as the pair (a, b) of
-    u = [[a, -conj(b)], [b, conj(a)]].  Deterministic in (seed, n_steps): axis
-    and angle draws come from two independent substreams, and prefix products
-    run in blocks of the fixed length ``_BLOCK``, so extending the horizon
-    never changes the prefix of the trajectory, bit for bit.
+    Step 0 is the identity; ``np.arange(n + 1)`` is the whole walk to step n.  A step is an
+    SU(2) rotation, kept as the pair (a, b) of u = [[a, -conj(b)], [b, conj(a)]].  Axis and
+    angle draws come from two independent substreams of the seed, prefix products run in
+    blocks of the fixed length ``_BLOCK``, and a block's carry is a doubling scan over the
+    totals of the blocks below it, so a longer horizon never changes a step, bit for bit.
     """
-    n_blocks = -(-n_steps // _BLOCK)
+    steps = np.asarray(steps)
+    if steps.ndim != 1 or steps.dtype.kind not in "iu" or np.any(steps < 0):
+        raise ValueError("steps must be a 1-d array of step indices >= 0, e.g. np.arange(n + 1)")
+    n_steps = int(steps.max(initial=0))
+    n_blocks = max(1, -(-n_steps // _BLOCK))
     a, b = (x.reshape(n_blocks, _BLOCK) for x in _step_pairs(process, n_steps, n_blocks * _BLOCK))
     # Prefix products within each block, all blocks at once.
     for j in range(1, min(_BLOCK, n_steps)):
         a[:, j], b[:, j] = _su2_mul(a[:, j], b[:, j], a[:, j - 1], b[:, j - 1])
-    # carry[m] is the product of every step before block m.
-    carry = [(1.0 + 0.0j, 0.0j)]
-    for last in zip(a[:-1, -1].tolist(), b[:-1, -1].tolist()):
-        carry.append(_su2_mul(*last, *carry[-1]))
-    carry_a, carry_b = np.array(carry).T[:, :, None]
-    a, b = _su2_mul(a, b, carry_a, carry_b)
-    a = a.reshape(-1)[:n_steps]
-    b = b.reshape(-1)[:n_steps]
-    out = np.empty((n_steps + 1, 2, 2), dtype=complex)
-    out[0] = np.eye(2)
-    out[1:, 0, 0] = a
-    out[1:, 0, 1] = -b.conj()
-    out[1:, 1, 0] = b
-    out[1:, 1, 1] = a.conj()
+    # carry[m], the product of the steps before block m: a doubling scan of the block totals.
+    carry_a, carry_b = np.pad(a[:-1, -1], (1, 0), constant_values=1.0), np.pad(b[:-1, -1], (1, 0))
+    d = 1
+    while d < n_blocks:
+        carry_a[d:], carry_b[d:] = _su2_mul(carry_a[d:], carry_b[d:], carry_a[:-d], carry_b[:-d])
+        d *= 2
+    i = steps.astype(int) - 1  # step s is block entry s - 1; step 0 is reset below
+    a, b = _su2_mul(a.reshape(-1)[i], b.reshape(-1)[i], carry_a[i // _BLOCK], carry_b[i // _BLOCK])
+    out = np.stack([a, -b.conj(), b, a.conj()], axis=-1).reshape(-1, 2, 2)
+    out[steps == 0] = np.eye(2)
     return out
 
 
@@ -140,8 +141,7 @@ def drift_operators(drift: DriftProcess, times) -> np.ndarray:
     # 2^63 is the first float past the int range; inf (an overflowed quotient) fails too.
     if not np.all(steps < 2.0**63):
         raise ValueError(f"walk step index {np.max(steps):.3g} does not fit in an int")
-    steps = steps.astype(int)
-    return drift_walk(drift, int(np.max(steps)))[steps]
+    return drift_walk(drift, steps.astype(int))
 
 
 @dataclass(frozen=True)

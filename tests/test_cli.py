@@ -288,6 +288,24 @@ def test_drift_series_too_many_rows_is_config_error(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_drift_step_cap_bounds_the_last_sample(tmp_path, monkeypatch, capsys):
+    # 1,000 s of 1 s steps is at the cap, but the samples are 0 and 1,500 s,
+    # and the walk runs to the last of them
+    def no_walk(*args):
+        raise AssertionError("the walk must not start")
+
+    monkeypatch.setattr(cli, "_MAX_DRIFT_STEPS", 1000)
+    monkeypatch.setattr(fiber_module, "_step_pairs", no_walk)
+    overrides = ("--drift.time_step_s=1", "--drift_series.duration_s=1000",
+                 "--drift_series.sample_interval_s=1500")
+    assert run(tmp_path, "drift-series", *overrides) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "1.5e+03 walk steps" in err
+    for key in ("drift.time_step_s", "drift_series.duration_s", "drift_series.sample_interval_s"):
+        assert key in err
+    assert not (tmp_path / "out").exists()
+
+
 def fail(*args, **kwargs):
     raise AssertionError("the guard must stop the run before this call")
 

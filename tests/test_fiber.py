@@ -65,7 +65,7 @@ def test_transmittance_values(fiber):
 
 def test_drift_starts_at_identity():
     p = DriftProcess(seed=5)
-    walk = drift_walk(p, 10)
+    walk = drift_walk(p, np.arange(11))
     np.testing.assert_array_equal(walk[0], np.eye(2, dtype=complex))
     assert walk.shape == (11, 2, 2)
 
@@ -77,20 +77,60 @@ def test_drift_default_time_step():
 
 def test_drift_is_deterministic():
     p = DriftProcess(seed=77)
-    a = drift_walk(p, 50)
-    b = drift_walk(p, 50)
+    a = drift_walk(p, np.arange(51))
+    b = drift_walk(p, np.arange(51))
     np.testing.assert_array_equal(a, b)
-    c = drift_walk(DriftProcess(seed=78), 50)
+    c = drift_walk(DriftProcess(seed=78), np.arange(51))
     assert np.max(np.abs(a - c)) > 1e-3
 
 
 def test_drift_prefix_stable_across_horizons():
     # extending the horizon must not rewrite the earlier trajectory, bit for
-    # bit, also at the edges of the 32-step prefix-product blocks
+    # bit, also at the edges of the 32-step prefix-product blocks, at 1 to 5
+    # blocks, and at 1,023 to 1,025 blocks, where the carry scan goes from 10
+    # to 11 passes (the long walk's 1,250 blocks take 11)
     p = DriftProcess(seed=3)
-    long = drift_walk(p, 5000)
-    for k in (0, 20, 31, 32, 33, 257):
-        np.testing.assert_array_equal(drift_walk(p, k), long[: k + 1])
+    long = drift_walk(p, np.arange(40_001))
+    for k in (0, 20, 31, 32, 33, 64, 65, 96, 97, 128, 129, 160, 257,
+              1023 * 32, 1024 * 32, 1024 * 32 + 1, 1025 * 32):
+        np.testing.assert_array_equal(drift_walk(p, np.arange(k + 1)), long[: k + 1])
+
+
+def test_drift_walk_carries_by_a_doubling_scan(monkeypatch):
+    # 2^16 steps are 2,048 blocks: 31 in-block passes, 11 carry passes and one
+    # product with the carries, where a carry loop over the blocks makes 2,079
+    calls = []
+    su2_mul = fiber_module._su2_mul
+
+    def counted(*args):
+        calls.append(1)
+        return su2_mul(*args)
+
+    monkeypatch.setattr(fiber_module, "_su2_mul", counted)
+    drift_walk(DriftProcess(seed=8), np.arange(2**16 + 1))
+    assert len(calls) <= 31 + 11 + 1
+
+
+@pytest.mark.parametrize("steps", [
+    [7, 0, 33, 33, 1, 0, 65, 64, 32, 4000, 2, 3999],
+    [4000, 0],
+    [0, 0],
+    [4000],
+])
+def test_drift_walk_at_given_steps_matches_whole_walk(steps):
+    # unsorted, repeated and zero steps get the whole walk's rows, bit for bit
+    p = DriftProcess(seed=12)
+    whole = drift_walk(p, np.arange(4001))
+    walk = drift_walk(p, np.array(steps))
+    assert walk.shape == (len(steps), 2, 2)
+    np.testing.assert_array_equal(walk, whole[steps])
+
+
+@pytest.mark.parametrize("steps", [10, np.int64(10), [1.5], [-1], [[1, 2]]])
+def test_drift_walk_takes_step_indices_only(steps):
+    # an old all-steps call, drift_walk(p, n), must not silently change meaning
+    with pytest.raises(ValueError, match="step indices"):
+        drift_walk(DriftProcess(), steps)
 
 
 def _sequential_walk(process, n_steps):
@@ -123,7 +163,7 @@ def _sequential_walk(process, n_steps):
 def test_drift_walk_matches_sequential_products():
     p = DriftProcess(correlation_time=360.0, seed=17, time_step=0.36)
     n = 100_000
-    walk = drift_walk(p, n)
+    walk = drift_walk(p, np.arange(n + 1))
     assert np.max(np.abs(walk - _sequential_walk(p, n))) <= 1e-12
     gram = np.swapaxes(walk, -1, -2).conj() @ walk
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
@@ -131,7 +171,7 @@ def test_drift_walk_matches_sequential_products():
 
 def test_drift_samples_follow_walk():
     p = DriftProcess(correlation_time=360.0, seed=11)
-    walk = drift_walk(p, 100)
+    walk = drift_walk(p, np.arange(101))
     for t in (0.0, 3.5, 3.6, 100.0, 359.999):
         idx = int(np.floor(t / p.time_step))
         np.testing.assert_array_equal(drift_operators(p, [t])[0], walk[idx])
@@ -153,7 +193,7 @@ def test_drift_step_index_past_int_range_is_rejected(monkeypatch, time_step, t):
 
 def test_drift_stays_unitary():
     p = DriftProcess(seed=9)
-    walk = drift_walk(p, 500)
+    walk = drift_walk(p, np.arange(501))
     eye = np.eye(2)
     for u in walk[::25]:
         np.testing.assert_allclose(u @ u.conj().T, eye, atol=1e-12)
@@ -165,7 +205,7 @@ def test_drift_decorrelates_within_correlation_time():
     # 100-step increments of one walk are 1,000 samples of that displacement
     p = DriftProcess(correlation_time=360.0, step_angle_scale=np.pi)
     assert p.time_step * 100 == p.correlation_time
-    walk = drift_walk(p, 100_000)[::100]
+    walk = drift_walk(p, np.arange(100_001))[::100]
     u = walk[1:] @ np.swapaxes(walk[:-1], -1, -2).conj()
     sv = np.linalg.svd(np.eye(2) - u, compute_uv=False)
     assert np.mean(0.5 * np.sum(sv, axis=1)) > 0.5
@@ -175,7 +215,8 @@ def test_channel_operator_single_pass_is_raw_drift():
     drift = DriftProcess(seed=21)
     t = 1234.0
     step = int(t // drift.time_step)
-    np.testing.assert_array_equal(drift_operators(drift, [t])[0], drift_walk(drift, step)[step])
+    np.testing.assert_array_equal(drift_operators(drift, [t])[0],
+                                  drift_walk(drift, np.arange(step + 1))[step])
 
 
 def test_channel_operator_return_collapses_to_mirror():
