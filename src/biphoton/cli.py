@@ -4,19 +4,19 @@
 
 Scenarios: g2-curves, plate-surface, bell-postselect, drift-series,
 histogram.  CONFIG is a UTF-8 text file (a byte-order mark is allowed) of
-``[section]`` headers and ``key = value`` lines with '#' comments; the
-packaged default is used when it is omitted.  Values can be overridden on
-the command line with ``--section.key=value``, each key once.  The file and
-the command line are a run's only inputs.  A scenario returns its CSV
-tables, whose headers hold its own lines only, and its report lines; it
-prints and writes nothing.  ``main`` puts the run's one record first in
-every header: the fully resolved configuration (``config.*``) and the
-quantities derived from it (``derived.*``), so a result file is
-reproducible from its own header.  It then creates ``sim.output_dir``,
-writes every file in one ``write_csvs`` call and only then prints the
-report lines and the paths.  Exit codes: 0 success, 2 configuration
-problem (any ConfigurationError, also one the library raises inside a
-scenario), 3 runtime failure.
+``[section]`` headers and ``key = value`` lines; a '#' at the start of a
+line or after whitespace starts a comment.  The packaged default is used
+when CONFIG is omitted.  Values can be overridden on the command line with
+``--section.key=value``, each key once.  The file and the command line are
+a run's only inputs.  A scenario returns its CSV tables, whose headers hold
+its own lines only, and its report lines; it prints and writes nothing.
+``main`` puts the run's one record first in every header: the fully
+resolved configuration (``config.*``) and the quantities derived from it
+(``derived.*``), so a result file is reproducible from its own header.  It
+then creates ``sim.output_dir``, writes every file in one ``write_csvs``
+call and only then prints the report lines and the paths.  Exit codes: 0
+success, 2 configuration problem (any ConfigurationError, also one the
+library raises inside a scenario), 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def _parse_text(text: str, source: str) -> dict[tuple[str, str], _Entry]:
     sections: set[str] = set()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         where = f"{source}:{lineno}"
@@ -216,7 +216,7 @@ def _load_config(
     else:
         path = Path(config_path)
         if not path.is_file():
-            raise ConfigurationError(f"config file not found: {config_path}")
+            raise ConfigurationError(f"config file not found or not a regular file: {config_path}")
         try:
             text = path.read_text("utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
@@ -352,7 +352,8 @@ def scenario_g2_curves(cfg: ScenarioConfig) -> Result:
     scale = _require_dispersion(cfg)
     _check_work("grid.n", cfg.grid.n, "grid points", _MAX_GRID_N)
     state = _plate_state(cfg)
-    plus, minus = (g2_numeric(state, cfg.fiber, arms) for arms in (PLUS_PLUS, PLUS_MINUS))
+    with _config_keys("fiber.k2_s2_per_m, fiber.geometric_length_m, grid.n"):
+        plus, minus = (g2_numeric(state, cfg.fiber, arms) for arms in (PLUS_PLUS, PLUS_MINUS))
     ana_plus = g2_analytic(plus.tau_grid, scale, cfg.plate, "plus")
     ana_minus = g2_analytic(minus.tau_grid, scale, cfg.plate, "minus")
     num_peak = max(plus.g2.max(), minus.g2.max())
@@ -484,7 +485,8 @@ def scenario_histogram(cfg: ScenarioConfig) -> Result:
                 det.dark_background_rate * acquisition * n_channels, "counts", _MAX_POISSON_TOTAL)
     _check_work("grid.n", cfg.grid.n, "grid points", _MAX_GRID_N)
     state = _plate_state(cfg)
-    plus, minus = (g2_numeric(state, cfg.fiber, arms) for arms in (PLUS_PLUS, PLUS_MINUS))
+    with _config_keys("fiber.k2_s2_per_m, fiber.geometric_length_m, grid.n"):
+        plus, minus = (g2_numeric(state, cfg.fiber, arms) for arms in (PLUS_PLUS, PLUS_MINUS))
     # Arm seeds from SeedSequence([seed, arm]): no arm replays another seed's arm.
     seeds = [int(np.random.SeedSequence([cfg["sim.seed"], arm]).generate_state(1, np.uint64)[0])
              for arm in (0, 1)]

@@ -11,8 +11,8 @@ the analyzers; d = 0 gives the bare source curves.  These are far-field
 (strong-dispersion) forms.  ``g2_numeric`` computes the distributions from
 the sampled state: an exact discrete Fourier transform of the chirped
 amplitude where the grid samples the chirp, else the far-field image on
-tau = 2 k2 z Omega.  At strong chirp the routes agree only when every sign
-convention in the chain is consistent, which the test suite pins down.
+tau = 2 k2 z Omega where ``require_far_field`` holds.  At strong chirp the
+routes agree only if all sign conventions agree, as the test suite pins down.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .state import PSI_MINUS, PSI_PLUS, BiphotonState, CrystalParams, FrequencyG
 
 Normalization = Literal["raw"]
 
-FAR_FIELD_EDGE_STEP = np.pi / 4.0  # chirp_edge_step (rad) from which g2 is the far-field image
+FAR_FIELD_EDGE_STEP = np.pi / 4.0  # chirp_edge_step (rad) from which a grid misses the chirp
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,21 @@ def chirp_edge_step(grid: FrequencyGrid, fiber: FiberChannel) -> float:
     """Phase step |k2 z| omega_max dOmega of the chirp e^{i k2 z Omega^2} at the grid edge, in rad.
 
     Below pi/4 the grid samples the chirp and ``g2_numeric`` transforms it
-    exactly.  At pi/4 or above the coincidence pattern is the far-field image
-    on tau = 2 k2 z Omega, the map ``g2_numeric`` then uses.
+    exactly.  At pi/4 or above it does not, and ``g2_numeric`` takes the
+    far-field image on tau = 2 k2 z Omega where ``require_far_field`` holds.
     """
     return abs(fiber.k2 * fiber.z) * grid.omega_max * grid.domega
+
+
+def require_far_field(fiber: FiberChannel, crystal: CrystalParams) -> None:
+    """Raise ConfigurationError unless |tau_f| = 2 |k2 z| / tau0 is at least 1000 tau0.
+
+    Only there may tau = 2 k2 z Omega map the pattern (Kolner, IEEE JQE 30, 1951 (1994)): a
+    window's psi- fidelity errs by 0.40 (tau0 / tau_f)^2, a g2 curve by 0.17 (tau0 / tau_f)^2.
+    """
+    scale, least = abs(2.0 * (fiber.k2 * fiber.z)) / crystal.tau0, 1000.0 * crystal.tau0
+    if not scale >= least:
+        raise ConfigurationError(f"|tau_f| = {scale:.3g} s is below 1000 tau0 = {least:.3g} s")
 
 
 def g2_numeric(
@@ -129,14 +140,15 @@ def g2_numeric(
     k2 z omega_max dOmega < pi/4; Voelz & Roggemann, Appl. Opt. 48, 6132
     (2009)), k2 z = 0 included, the chirped amplitude is transformed exactly
     with kernel e^{-i Omega tau} (tau = t1 - t2).  Elsewhere the result is the
-    far-field image |A(Omega)|^2 on tau = 2 k2 z Omega, the strong-dispersion
-    limit that ``g2_analytic`` gives.  Expects the state before dispersion.
+    far-field image |A(Omega)|^2 on tau = 2 k2 z Omega (``g2_analytic``'s
+    limit) if ``require_far_field`` passes.  Expects the state before dispersion.
     """
     grid, omegas = state.grid, state.grid.omegas
     e1, e2 = (analyzer_vector(theta).conj() for theta in (analyzer.theta1, analyzer.theta2))
     a = np.kron(e1, e2) @ state.pol @ state.rows_at(omegas)  # projected amplitude
     k2z = fiber.k2 * fiber.z
     if chirp_edge_step(grid, fiber) >= FAR_FIELD_EDGE_STEP:
+        require_far_field(fiber, state.crystal)
         tau = 2.0 * k2z * omegas
         g2 = np.abs(a) ** 2
         if tau[1] < tau[0]:
@@ -192,17 +204,6 @@ class PostSelectionResult:
     psi_plus_fidelity: float
     psi_minus_fidelity: float
     selected_fraction: float  # tr rho over the state's norm: its share inside the band
-
-
-def require_far_field(fiber: FiberChannel, crystal: CrystalParams) -> None:
-    """Raise ConfigurationError unless |tau_f| = 2 |k2 z| / tau0 is at least 1000 tau0.
-
-    Only there does a window select a band through tau = 2 k2 z Omega (Kolner, IEEE JQE
-    30, 1951 (1994)): its psi- fidelity exceeds the time domain's by 0.40 (tau0 / tau_f)^2.
-    """
-    scale, least = abs(2.0 * (fiber.k2 * fiber.z)) / crystal.tau0, 1000.0 * crystal.tau0
-    if not scale >= least:
-        raise ConfigurationError(f"|tau_f| = {scale:.3g} s is below 1000 tau0 = {least:.3g} s")
 
 
 def postselect(

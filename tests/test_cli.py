@@ -1,6 +1,7 @@
 """Command-line entry point: scenarios, config handling, reproducibility."""
 
 import io
+import os
 import sys
 import time
 import tracemalloc
@@ -888,6 +889,21 @@ def test_bell_on_a_weak_fiber_names_the_fiber_keys(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scenario", ["g2-curves", "histogram"])
+def test_g2_on_a_weak_fiber_needs_a_grid_that_samples_the_chirp(tmp_path, capsys, scenario):
+    # tau_f = 3.84 tau0 and an edge step of 4.76 rad on 512 points: the
+    # far-field image would miss the exact curve by 1.2 % of the joint peak, so
+    # the run exits 2 naming the keys that can fix it; 65,536 points sample the
+    # chirp (edge step 0.037 rad) and give the exact transform
+    assert run(tmp_path, scenario, "--fiber.k2_s2_per_m=1e-29") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: fiber.k2_s2_per_m, fiber.geometric_length_m, grid.n: "
+                   "|tau_f| = 1.92e-13 s is below 1000 tau0 = 5e-11 s\n")
+    assert not (tmp_path / "out").exists()
+    assert run(tmp_path, scenario, "--fiber.k2_s2_per_m=1e-29", "--grid.n=65536") == 0
+
+
 def test_too_narrow_bell_window_names_its_key(tmp_path, capsys):
     assert run(tmp_path, "bell-postselect", "--postselect.half_width_s=1e-30") == 2
     err = capsys.readouterr().err
@@ -911,6 +927,29 @@ def test_bell_postselect_allocates_no_grid_length_array(tmp_path):
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert run(tmp_path, "g2-curves", str(tmp_path / "nope.cfg")) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "named pipe"])
+def test_config_path_that_is_no_regular_file_is_config_error(tmp_path, capsys, kind):
+    # only a regular file is opened: reading a named pipe would block
+    path = tmp_path / "cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "named pipe":
+        os.mkfifo(path)
+    assert run(tmp_path, "g2-curves", str(path)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config file not found or not a regular file: {path}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"[sim]\nseed = 4  # caf\xe9 in latin-1\n")
+    assert run(tmp_path, "g2-curves", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {cfg}:") and "utf-8" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_override_key_is_config_error(tmp_path, capsys):
@@ -953,6 +992,50 @@ def test_duplicate_key_is_config_error(tmp_path, capsys):
     cfg.write_text("[fiber]\nk2_s2_per_m = 1e-26\nk2_s2_per_m = 2e-26\n")
     assert run(tmp_path, "g2-curves", str(cfg)) == 2
     assert "duplicate" in capsys.readouterr().err
+
+
+def test_duplicate_section_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("[sim]\nseed = 4\n\n[sim]\noutput_dir = x\n")
+    assert run(tmp_path, "g2-curves", str(cfg)) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:4: duplicate section [sim]\n"
+
+
+def test_line_without_equals_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bare.cfg"
+    cfg.write_text("[sim]\nseed 4  # no equals sign\n")
+    assert run(tmp_path, "g2-curves", str(cfg)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:2: expected 'key = value', got 'seed 4  # no equals sign'\n")
+
+
+def test_hash_inside_a_file_value_is_part_of_it(tmp_path, monkeypatch):
+    # '#' starts a comment only at the start of a line or after whitespace,
+    # so the file and the command line give a value with '#' alike
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "hash.cfg"
+    text = default_config_text()
+    assert "output_dir = out\n" in text
+    cfg.write_text(text.replace("output_dir = out\n", "output_dir = runs#3  # comment\n"))
+    records = []
+    for args in ([str(cfg)], ["--sim.output_dir=runs#3"]):
+        assert cli.main(["bell-postselect", *args]) == 0
+        _, meta = read_csv(tmp_path / "runs#3" / "bell_postselect.csv")
+        records.append(meta)
+    assert records[0]["config.sim.output_dir"] == "runs#3"
+    assert records[1] == records[0]
+    assert not (tmp_path / "runs").exists()
+
+
+def test_hash_glued_to_a_number_is_config_error(tmp_path, capsys):
+    lines = default_config_text().splitlines()
+    lineno = lines.index("n = 512") + 1
+    lines[lineno - 1] = "n = 512#x"
+    cfg = tmp_path / "glued.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert run(tmp_path, "g2-curves", str(cfg)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:{lineno}: grid.n: not an integer: '512#x'\n")
 
 
 def test_key_given_twice_on_the_command_line_is_config_error(tmp_path, capsys):

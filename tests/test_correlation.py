@@ -32,6 +32,7 @@ from biphoton import (
     visibility,
 )
 from biphoton import state as state_module
+from biphoton.correlation import chirp_edge_step
 from oracles import (
     continuum_gram,
     continuum_postselect,
@@ -169,25 +170,76 @@ def test_exact_fourier_box_without_dispersion(crystal):
     assert np.max(g_in) / np.min(g_in) < 1.2
 
 
+def far_field_gap(coarse, fine, fiber):
+    """Largest gap, in joint peaks, between the far-field image on ``coarse``
+    and g2_numeric on ``fine``, a grid that samples the chirp (interpolated
+    to the image's taus)."""
+    far = [far_field_image(coarse, fiber, a) for a in (PLUS_PLUS, PLUS_MINUS)]
+    exact = [g2_numeric(fine, fiber, a) for a in (PLUS_PLUS, PLUS_MINUS)]
+    far_peak = max(np.max(g2) for _, g2 in far)
+    exact_peak = max(np.max(r.g2) for r in exact)
+    return max(np.max(np.abs(g2 / far_peak - np.interp(tau, r.tau_grid, r.g2) / exact_peak))
+               for (tau, g2), r in zip(far, exact))
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_route_follows_chirp_sampling(crystal, sign):
-    # k2 z = 0.4 tau0^2: the edge phase step k2 z omega_max dOmega is 0.99 rad
-    # on 512 points, at or above pi/4, and 0.49 rad on 1,024, below it
+    # k2 z = 0.4 tau0^2, tau_f = 0.8 tau0: the edge phase step k2 z omega_max dOmega
+    # is 0.99 rad on 512 points, at or above pi/4, and 0.49 rad on 1,024, below it.
+    # The far-field image on 512 points would miss the exact transform by 0.35
+    # of the joint peak, so g2_numeric refuses that grid; 1,024 points take the
+    # exact transform.
     tau0 = crystal.tau0
     fiber = FiberChannel(k2=sign * 0.4 * tau0**2 / 250.0, geometric_length=250.0)
-    k2z = fiber.k2 * fiber.z
-    for n, oracle in ((512, far_field_image), (1024, exact_transform)):
-        grid = FrequencyGrid(n=n, omega_max=8 * np.pi / tau0)
-        st = pdc_state(crystal, grid)
-        far = abs(k2z) * grid.omega_max * grid.domega >= np.pi / 4
-        assert far == (oracle is far_field_image)
-        spacing = 2 * abs(k2z) * grid.domega if far else 2 * np.pi / (n * grid.domega)
-        for analyzer in (PLUS_PLUS, PLUS_MINUS):
-            res = g2_numeric(st, fiber, analyzer)
-            np.testing.assert_allclose(np.diff(res.tau_grid), spacing, rtol=1e-9)
-            tau, g2 = oracle(st, fiber, analyzer)
-            np.testing.assert_array_equal(res.tau_grid, tau)
-            np.testing.assert_array_equal(res.g2, g2)
+    coarse, fine, finest = (pdc_state(crystal, FrequencyGrid(n=n, omega_max=8 * np.pi / tau0))
+                            for n in (512, 1024, 1 << 16))
+    assert chirp_edge_step(coarse.grid, fiber) >= np.pi / 4 > chirp_edge_step(fine.grid, fiber)
+    assert far_field_gap(coarse, finest, fiber) == pytest.approx(0.354, abs=1e-3)
+    for analyzer in (PLUS_PLUS, PLUS_MINUS):
+        with pytest.raises(ConfigurationError, match=r"s is below 1000 tau0 = 5e-11 s"):
+            g2_numeric(coarse, fiber, analyzer)
+        res = g2_numeric(fine, fiber, analyzer)
+        np.testing.assert_allclose(np.diff(res.tau_grid), 2 * np.pi / (1024 * fine.grid.domega),
+                                   rtol=1e-9)
+        tau, g2 = exact_transform(fine, fiber, analyzer)
+        np.testing.assert_array_equal(res.tau_grid, tau)
+        np.testing.assert_array_equal(res.g2, g2)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_unsampled_grid_takes_the_far_field_image_from_1000_tau0(state, sign):
+    # |tau_f| = 2 |k2 z| / tau0 around 1000 tau0, where 512 points are far from
+    # sampling the chirp (edge step about 1,200 rad): the far-field image at and
+    # past the bound, a refusal below it, for either sign of k2
+    tau0 = state.crystal.tau0
+    at, below = (FiberChannel(k2=sign * ratio * tau0**2 / 2.0, geometric_length=1.0)
+                 for ratio in (1000.0 * (1.0 + 1e-9), 1000.0 * (1.0 - 1e-9)))
+    assert min(chirp_edge_step(state.grid, fiber) for fiber in (at, below)) > 1000.0
+    for analyzer in (PLUS_PLUS, PLUS_MINUS):
+        res = g2_numeric(state, at, analyzer)
+        tau, g2 = far_field_image(state, at, analyzer)
+        np.testing.assert_array_equal(res.tau_grid, tau)
+        np.testing.assert_array_equal(res.g2, g2)
+        with pytest.raises(ConfigurationError, match=r"s is below 1000 tau0 = 5e-11 s"):
+            g2_numeric(state, below, analyzer)
+
+
+@pytest.mark.parametrize("k2, ratio", [(1e-29, 3.84), (1e-28, 38.4), (1e-27, 384.0)])
+def test_far_field_g2_follows_the_deficit_law(crystal, k2, ratio):
+    # The g2 counterpart of test_far_field_window_follows_the_time_domain_deficit_law.
+    # The CLI's fiber (240 m go and return, no plate): its 512-point far-field image misses the
+    # exact transform on 2^20 points, where the grid samples the chirp (edge
+    # step at most 0.23 rad), by 0.173 (tau0 / tau_f)^2 of the joint peak.  At
+    # 1000 tau0, where the far-field image starts, that is about 2e-7.  A plate
+    # that lifts the minus arm makes the gap first order in tau0 / tau_f (see
+    # test_exact_fourier_agrees_with_far_field_at_large_chirp).
+    tau0 = crystal.tau0
+    fiber = FiberChannel(k2=k2, geometric_length=240.0, passes="go_and_return")
+    assert tau_f(fiber, crystal) == pytest.approx(ratio * tau0, rel=1e-12)
+    coarse, fine = (pdc_state(crystal, FrequencyGrid(n, 8.0 * np.pi / tau0))
+                    for n in (512, 1 << 20))
+    assert chirp_edge_step(fine.grid, fiber) < 0.24
+    assert 0.16 <= far_field_gap(coarse, fine, fiber) * ratio**2 <= 0.19
 
 
 def test_exact_fourier_agrees_with_far_field_at_large_chirp(crystal):
