@@ -31,8 +31,8 @@ from .errors import ConfigurationError
 from .fiber import _STREAM_HISTOGRAM, DriftProcess, drift_operators
 from .jones import analyzer_vector, round_trip
 
-# Terms of the channel law evaluated at once: caps memory (and keeps the
-# temporaries in cache), never changes a result.
+# Terms of the channel law evaluated at once, though a chunk holds at least one whole
+# edge: caps memory (and keeps the temporaries in cache), never changes a result.
 _CHUNK = 1 << 12
 # Beyond this many sigmas the normal CDF is 0 or 1 in double precision.
 _REACH = 9.0
@@ -83,26 +83,25 @@ def _rational(t: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
 def _erf(x: np.ndarray) -> np.ndarray:
     """Elementwise erf of a float array by Cody's three ranges, within 5 ulp.
 
-    Each range is evaluated on the whole array, its input clipped into the
-    range so that nothing overflows, and the result selected: faster than
-    indexing each range.  exp(-y^2) is split at y rounded down to 1/16, an
-    exact square.  1 - erfc is rounded once, not twice as in Cody's
-    (1/2 - erfc) + 1/2, so erf agrees with math.erf to the bit beyond |x| = 4
-    and at 99.9 % of points in [2, 4]: the channel law's far tails, whose
-    exact zeros decide how many uniforms the Poisson draws take, come out as
-    they do with math.erf.
+    Each range is evaluated on its own elements alone: on one histogram-heavy call's
+    37,718 terms that took 1.5 ms against 1.9 ms for all ranges on the whole array
+    (2-vCPU Xeon guest), with the same bits.  exp(-y^2) is split at y rounded down to
+    1/16, an exact square.  1 - erfc is rounded once, not twice as in Cody's
+    (1/2 - erfc) + 1/2, so erf agrees with math.erf to the bit beyond |x| = 4 and at
+    99.9 % of points in [2, 4]: the channel law's far tails, whose exact zeros decide
+    how many uniforms the Poisson draws take, come out as they do with math.erf.
     """
-    ax = np.abs(x)
-    xs = np.clip(x, -0.46875, 0.46875)
-    small = xs * _rational(xs * xs, _A, _B)
-    y = np.minimum(ax, 6.0)
-    yl = np.maximum(y, 4.0)
-    t = 1.0 / (yl * yl)
-    far = (1.0 / math.sqrt(math.pi) - t * _rational(t, _P, _Q)) / yl
-    r = np.where(y <= 4.0, _rational(y, _C, _D), far)
+    out, big = np.empty_like(x), np.abs(x) > 0.46875
+    xs, y = x[~big], np.minimum(np.abs(x[big]), 6.0)
+    out[~big] = xs * _rational(xs * xs, _A, _B)
+    r, far = np.empty_like(y), y > 4.0
+    t = 1.0 / (y[far] * y[far])
+    r[far] = (1.0 / math.sqrt(math.pi) - t * _rational(t, _P, _Q)) / y[far]
+    r[~far] = _rational(y[~far], _C, _D)
     y16 = np.trunc(16.0 * y) / 16.0
     erfc = np.exp(-y16 * y16) * np.exp(-(y - y16) * (y + y16)) * r
-    return np.where(ax <= 0.46875, small, np.copysign(1.0 - erfc, x))
+    out[big] = np.copysign(1.0 - erfc, x[big])
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,10 @@ def _psi(y: np.ndarray, s: float) -> np.ndarray:
     """
     out = np.maximum(y, 0.0)
     near = np.abs(y) < _REACH * s
-    z = y[near] / s
+    y = y[near]
+    z = y / s
     cdf = 0.5 + 0.5 * _erf(z / math.sqrt(2.0))
-    out[near] = y[near] * cdf + s * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    out[near] = y * cdf + s * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     return out
 
 
@@ -185,7 +185,7 @@ def _smeared_cdf(x, tau: np.ndarray, weight: np.ndarray, cell: float, s: float):
     Cell k spreads weight[k] over [b_k, b_k+1] = tau[k] -+ cell/2 and adds
     weight[k] (Psi(x - b_k) - Psi(x - b_k+1)) / cell: exactly weight[k]
     (nothing) once the whole cell lies _REACH s below (above) x, so only a
-    band of cells around each x is evaluated, about _CHUNK terms at once.
+    band of cells around each x is evaluated, about _CHUNK terms or one x's band at once.
     ``weight`` may stack several densities on one grid, shape (..., len(tau));
     the result then has shape (..., len(x)).  The Psi differences depend on
     the grid alone, so each chunk of them is evaluated once and summed against
@@ -209,7 +209,7 @@ def _smeared_cdf(x, tau: np.ndarray, weight: np.ndarray, cell: float, s: float):
         raise ConfigurationError(
             f"the channel law needs {len(live)} channel edges times {band + 1} g2 cells per "
             f"edge, more than the {_MAX_TERMS} terms it evaluates")
-    for i in np.array_split(live, max(1, len(live) * band // _CHUNK)):
+    for i in np.array_split(live, max(1, min(len(live), len(live) * band // _CHUNK))):
         k = first[i, None] + np.arange(band + 1)
         psi = _psi(x[i, None] - bounds[k], s)
         step = psi[:, :-1] - psi[:, 1:]
@@ -333,21 +333,6 @@ class VisibilityEstimate:
     background_channels: int  # per arm; 0 means no background was subtracted
 
 
-def _window_sums(hist: Histogram, window: PostSelectionWindow, support: float):
-    centers = hist.tau_centers()
-    in_window = np.abs(centers - window.center) <= window.half_width
-    n_win = int(np.count_nonzero(in_window))
-    if n_win == 0:
-        raise ConfigurationError("window covers no histogram channels")
-    bg_mask = np.abs(centers) > 3.0 * support
-    n_bg = int(np.count_nonzero(bg_mask))
-    bg_per_channel = float(np.mean(hist.counts[bg_mask])) if n_bg else 0.0
-    raw = float(np.sum(hist.counts[in_window]))
-    s = raw - n_win * bg_per_channel
-    var = raw + (n_win**2) * (bg_per_channel / n_bg if n_bg else 0.0)
-    return s, var, n_bg
-
-
 def estimate_visibility(
     plus: Histogram, minus: Histogram, window: PostSelectionWindow
 ) -> VisibilityEstimate:
@@ -362,9 +347,17 @@ def estimate_visibility(
     """
     if plus.channel_width != minus.channel_width or len(plus.counts) != len(minus.counts):
         raise ValueError("histograms have mismatched channel geometry")
-    support = max(plus.signal_support, minus.signal_support)
-    s_p, var_p, n_bg = _window_sums(plus, window, support)
-    s_m, var_m, _ = _window_sums(minus, window, support)
+    centers = plus.tau_centers()  # the lattice both arms share
+    in_window = np.abs(centers - window.center) <= window.half_width
+    bg_mask = np.abs(centers) > 3.0 * max(plus.signal_support, minus.signal_support)
+    n_win, n_bg = int(np.count_nonzero(in_window)), int(np.count_nonzero(bg_mask))
+    if n_win == 0:
+        raise ConfigurationError("window covers no histogram channels")
+    counts = np.stack([plus.counts, minus.counts])
+    bg_per_channel = np.sum(counts[:, bg_mask], axis=1) / max(n_bg, 1)  # exact integer sums
+    raw = np.sum(counts[:, in_window], axis=1)
+    s_p, s_m = (raw - n_win * bg_per_channel).tolist()
+    var_p, var_m = (raw + n_win**2 * (bg_per_channel / max(n_bg, 1))).tolist()
     total = s_p + s_m
     if total <= 0.0:
         value = sigma = float("nan")

@@ -136,19 +136,26 @@ def g2_numeric(
 ) -> CorrelationResult:
     """Coincidence distribution of the dispersed state behind two analyzers.
 
-    Where the grid samples the chirp e^{i k2 z Omega^2} (edge phase step
-    k2 z omega_max dOmega < pi/4; Voelz & Roggemann, Appl. Opt. 48, 6132
-    (2009)), k2 z = 0 included, the chirped amplitude is transformed exactly
-    with kernel e^{-i Omega tau} (tau = t1 - t2).  Elsewhere the result is the
-    far-field image |A(Omega)|^2 on tau = 2 k2 z Omega (``g2_analytic``'s
-    limit) if ``require_far_field`` passes.  Expects the state before dispersion.
+    Where the grid samples the chirp e^{i k2 z Omega^2} (edge phase step k2 z omega_max
+    dOmega < pi/4; Voelz & Roggemann, Appl. Opt. 48, 6132 (2009)), k2 z = 0 included, the
+    chirped amplitude is transformed exactly with kernel e^{-i Omega tau} (tau = t1 - t2).
+    Elsewhere the result is the far-field image |A(Omega)|^2 on tau = 2 k2 z Omega
+    (``g2_analytic``'s limit) if ``require_far_field`` passes; if not, the refusal also
+    names the least grid.n that samples the chirp.  Expects the state before dispersion.
     """
     grid, omegas = state.grid, state.grid.omegas
     e1, e2 = (analyzer_vector(theta).conj() for theta in (analyzer.theta1, analyzer.theta2))
     a = np.kron(e1, e2) @ state.pol @ state.rows_at(omegas)  # projected amplitude
     k2z = fiber.k2 * fiber.z
-    if chirp_edge_step(grid, fiber) >= FAR_FIELD_EDGE_STEP:
-        require_far_field(fiber, state.crystal)
+    step = chirp_edge_step(grid, fiber)
+    if step >= FAR_FIELD_EDGE_STEP:
+        try:
+            require_far_field(fiber, state.crystal)
+        except ConfigurationError as err:  # the step falls as 1 / (n - 2): name the least n
+            n = 2 << int(math.log2(2.0 + step * (grid.n - 2) / FAR_FIELD_EDGE_STEP))
+            raise ConfigurationError(
+                f"{err}; {grid.n} points miss the chirp (edge step {step:.3g} rad >= pi/4),"
+                f" grid.n = {n} samples it ({step * (grid.n - 2) / (n - 2):.3g} rad)") from None
         tau = 2.0 * k2z * omegas
         g2 = np.abs(a) ** 2
         if tau[1] < tau[0]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import secrets
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -115,7 +114,7 @@ def write_csvs(
         with contextlib.ExitStack() as stack:
             handles = []
             for real, header, _, _ in tables:
-                temp = f"{real}.{secrets.token_hex(8)}.tmp"  # "x" makes it new, with w's mode
+                temp = f"{real}.{os.urandom(8).hex()}.tmp"  # "x" makes it new, with w's mode
                 handles.append(stack.enter_context(open(temp, "x", encoding="utf-8", newline="\n")))
                 temps.append(temp)
                 handles[-1].write(header)

@@ -893,13 +893,15 @@ def test_bell_on_a_weak_fiber_names_the_fiber_keys(tmp_path, capsys):
 def test_g2_on_a_weak_fiber_needs_a_grid_that_samples_the_chirp(tmp_path, capsys, scenario):
     # tau_f = 3.84 tau0 and an edge step of 4.76 rad on 512 points: the
     # far-field image would miss the exact curve by 1.2 % of the joint peak, so
-    # the run exits 2 naming the keys that can fix it; 65,536 points sample the
-    # chirp (edge step 0.037 rad) and give the exact transform
+    # the run exits 2 naming the keys that can fix it and the least grid.n that
+    # samples the chirp (4,096 points, edge step 0.592 rad); 65,536 points
+    # (edge step 0.037 rad) give the exact transform
     assert run(tmp_path, scenario, "--fiber.k2_s2_per_m=1e-29") == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("config error: fiber.k2_s2_per_m, fiber.geometric_length_m, grid.n: "
-                   "|tau_f| = 1.92e-13 s is below 1000 tau0 = 5e-11 s\n")
+                   "|tau_f| = 1.92e-13 s is below 1000 tau0 = 5e-11 s; 512 points miss the "
+                   "chirp (edge step 4.76 rad >= pi/4), grid.n = 4096 samples it (0.592 rad)\n")
     assert not (tmp_path / "out").exists()
     assert run(tmp_path, scenario, "--fiber.k2_s2_per_m=1e-29", "--grid.n=65536") == 0
 

@@ -38,7 +38,7 @@ from biphoton import (
     simulate_histograms,
 )
 from biphoton import cli, coincidence
-from biphoton.coincidence import _erf, _smeared_cdf
+from biphoton.coincidence import _A, _B, _C, _D, _P, _Q, _erf, _rational, _smeared_cdf
 from biphoton.csvio import read_csv
 
 TAU_F = 6.912e-10
@@ -221,6 +221,26 @@ def test_erf_is_elementwise():
         np.testing.assert_array_equal(np.concatenate(parts).view(np.uint64), whole[::step])
 
 
+def erf_whole_array(x):
+    """Cody's ranges each on the whole array, clipped, then selected: the former route."""
+    ax = np.abs(x)
+    xs = np.clip(x, -0.46875, 0.46875)
+    small = xs * _rational(xs * xs, _A, _B)
+    y = np.minimum(ax, 6.0)
+    yl = np.maximum(y, 4.0)
+    t = 1.0 / (yl * yl)
+    far = (1.0 / math.sqrt(math.pi) - t * _rational(t, _P, _Q)) / yl
+    r = np.where(y <= 4.0, _rational(y, _C, _D), far)
+    y16 = np.trunc(16.0 * y) / 16.0
+    erfc = np.exp(-y16 * y16) * np.exp(-(y - y16) * (y + y16)) * r
+    return np.where(ax <= 0.46875, small, np.copysign(1.0 - erfc, x))
+
+
+def test_erf_by_range_is_the_whole_array_route_to_the_bit():
+    x = np.concatenate([erf_points(), np.random.default_rng(8).normal(scale=3.0, size=200000)])
+    np.testing.assert_array_equal(_erf(x).view(np.uint64), erf_whole_array(x).view(np.uint64))
+
+
 @functools.lru_cache(maxsize=None)
 def scenario_curves(n):
     """Both arms' far-field g2 of the default state on an n-point grid."""
@@ -302,6 +322,24 @@ def test_stacked_channel_law_is_each_curve_alone(monkeypatch, n, jitter, chunk):
             alone.underflow, alone.overflow, alone.n_pairs, alone.n_background)
 
 
+def test_channel_law_evaluates_no_chunk_without_an_edge(monkeypatch):
+    # The histogram scenario at 65,536 grid points: the band of g2 cells within
+    # reach of one edge holds more than _CHUNK terms, so each chunk is one edge.
+    curves = scenario_curves(1 << 16)
+    tau = curves[0].tau_grid
+    edges = (np.arange(4097) - 2048 - 0.5) * (TAU_F / 20)
+    psi, rows = coincidence._psi, []
+
+    def recording(y, s):
+        rows.append(len(y))
+        return psi(y, s)
+
+    monkeypatch.setattr(coincidence, "_psi", recording)
+    _smeared_cdf(edges, tau, np.stack([c.g2 for c in curves]), tau[1] - tau[0],
+                 math.sqrt(2.0) * 1e-10)
+    assert len(rows) == 1078 and set(rows) == {1}
+
+
 def test_simulate_histograms_needs_one_grid_and_a_seed_per_curve():
     plus, minus = analytic_curve("plus"), analytic_curve("minus", n=2047)
     kwargs = dict(detectors=IDEAL, pair_rate=1e5, acquisition_time=1.0,
@@ -312,6 +350,36 @@ def test_simulate_histograms_needs_one_grid_and_a_seed_per_curve():
         simulate_histograms([plus, plus], seeds=[1], **kwargs)
     with pytest.raises(ValueError, match="one seed per curve"):
         simulate_histograms([], seeds=[], **kwargs)
+
+
+def histogram_call(**changes):
+    """simulate_histogram on a valid call, with ``changes`` to its arguments."""
+    kwargs = dict(g2=analytic_curve("plus", n=64), detectors=IDEAL, pair_rate=1e5,
+                  acquisition_time=1.0, channel_width=TAU_F / 20, seed=1) | changes
+    return lambda: simulate_histogram(**kwargs)
+
+
+def one_point_curve(tau):
+    return CorrelationResult(tau_grid=tau, g2=np.ones(len(tau)), analyzer=PLUS_PLUS)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DetectorParams(jitter_sigma=-1e-12), "jitter_sigma must be finite and >= 0"),
+    (lambda: DetectorParams(efficiency_2=1.5), "efficiency_2 must be in [0, 1]"),
+    (lambda: DetectorParams(dark_background_rate=np.inf),
+     "dark_background_rate must be finite and >= 0"),
+    (lambda: coincidence.Histogram(channel_width=1.0, counts=[]),
+     "counts must be a non-empty 1-d array"),
+    (histogram_call(g2=one_point_curve([0.0])), "g2 grid needs at least two points"),
+    (histogram_call(g2=one_point_curve([-3.0, -1.0, 0.0, 1.0, 3.0])), "g2 grid must be uniform"),
+    (histogram_call(acquisition_time=np.nan), "acquisition_time must be finite and >= 0"),
+    (histogram_call(channel_width=0.0), "channel_width must be finite and > 0"),
+    (histogram_call(transmittance=1.5), "transmittance must be in [0, 1]"),
+])
+def test_histogram_inputs_are_checked(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def erf_nudged_in_the_tails(toward):
@@ -506,6 +574,40 @@ def test_visibility_estimate_recovers_contrast():
     assert est.value > 0.9
     assert est.value < 1.0 + 3 * est.sigma
     assert est.sigma < 0.01
+
+
+def visibility_per_arm(plus, minus, window):
+    """(value, sigma, background channels) with each arm's sums taken alone: the former route."""
+    support = max(plus.signal_support, minus.signal_support)
+    sums = []
+    for hist in (plus, minus):
+        centers = hist.tau_centers()
+        in_window = np.abs(centers - window.center) <= window.half_width
+        n_win = int(np.count_nonzero(in_window))
+        bg_mask = np.abs(centers) > 3.0 * support
+        n_bg = int(np.count_nonzero(bg_mask))
+        bg_per_channel = float(np.mean(hist.counts[bg_mask])) if n_bg else 0.0
+        raw = float(np.sum(hist.counts[in_window]))
+        sums.append((raw - n_win * bg_per_channel,
+                     raw + (n_win**2) * (bg_per_channel / n_bg if n_bg else 0.0)))
+    (s_p, var_p), (s_m, var_m) = sums
+    total = s_p + s_m
+    sigma = 2.0 / total**2 * np.sqrt(s_m**2 * var_p + s_p**2 * var_m)
+    return (s_p - s_m) / total, float(sigma), n_bg
+
+
+@pytest.mark.parametrize("n_channels, dark_rate", [(None, 0.0), (1024, 2000.0), (1024, 0.5)])
+def test_visibility_estimate_is_the_per_arm_route_to_the_bit(n_channels, dark_rate):
+    # both arms on one lattice, summed as one stack: each arm's integer sums
+    # are exact in float64, so the stack changes no bit of the estimate
+    kwargs = dict(detectors=DetectorParams(dark_background_rate=dark_rate), pair_rate=2e6,
+                  acquisition_time=0.5, channel_width=TAU_F / 20, n_channels=n_channels)
+    hp, hm = simulate_histograms([analytic_curve("plus"), analytic_curve("minus")],
+                                 seeds=[21, 22], **kwargs)
+    for window in (PostSelectionWindow(0.0, TAU_F / 4), PostSelectionWindow(TAU_F, TAU_F / 3)):
+        est = estimate_visibility(hp, hm, window)
+        assert (est.value, est.sigma, est.background_channels) == visibility_per_arm(hp, hm, window)
+        assert (est.background_channels > 0) == (n_channels is not None)
 
 
 def test_visibility_estimate_is_symmetric_zero():

@@ -1,5 +1,6 @@
 """Coincidence shapes: closed forms, numeric transforms, post-selection."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -105,6 +106,19 @@ def test_analytic_rejects_bad_arguments():
         g2_analytic(0.0, TAU_F, which="sideways")
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: AnalyzerConfig(np.pi / 4.0, np.nan), "analyzer angles must be finite"),
+    (lambda: CorrelationResult(tau_grid=[-1.0, 0.0, 1.0], g2=[1.0, 1.0], analyzer=PLUS_PLUS),
+     "tau_grid and g2 must be 1-d arrays of equal length"),
+    (lambda: PostSelectionWindow(center=np.inf, half_width=TAU_F), "center must be finite"),
+    (lambda: PostSelectionWindow(center=0.0, half_width=0.0), "half_width must be finite and > 0"),
+])
+def test_correlation_inputs_are_checked(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 def test_far_field_matches_closed_form(state, fiber):
     # spot checks on the plate lattice; the acceptance suite sweeps it fully.
     # both arms share one normalization constant so that an arm the plate
@@ -204,6 +218,26 @@ def test_route_follows_chirp_sampling(crystal, sign):
         tau, g2 = exact_transform(fine, fiber, analyzer)
         np.testing.assert_array_equal(res.tau_grid, tau)
         np.testing.assert_array_equal(res.g2, g2)
+
+
+@pytest.mark.parametrize("ratio", [0.4, -3.0, 40.0, 450.0])
+def test_far_field_refusal_names_the_least_grid_that_samples_the_chirp(crystal, ratio):
+    # k2 z = ratio tau0^2, so |tau_f| = 2 |ratio| tau0, below 1000 tau0; on 512 points
+    # the edge step is 0.99 |ratio| rad.  The refusal names the least power of two
+    # whose grid samples the chirp: the edge step there is below pi/4, at half it is not.
+    tau0 = crystal.tau0
+    fiber = FiberChannel(k2=ratio * tau0**2 / 250.0, geometric_length=250.0)
+    state = pdc_state(crystal, FrequencyGrid(n=512, omega_max=8 * np.pi / tau0))
+    with pytest.raises(ConfigurationError) as info:
+        g2_numeric(state, fiber, PLUS_PLUS)
+    message = re.fullmatch(r"\|tau_f\| = \S+ s is below 1000 tau0 = 5e-11 s; 512 points miss the "
+                           r"chirp \(edge step (\S+) rad >= pi/4\), grid.n = (\d+) samples it "
+                           r"\((\S+) rad\)", str(info.value))
+    step, n, least_step = float(message[1]), int(message[2]), float(message[3])
+    assert step == float(f"{chirp_edge_step(state.grid, fiber):.3g}")
+    least, half = (chirp_edge_step(replace(state.grid, n=m), fiber) for m in (n, n // 2))
+    assert least < np.pi / 4 <= half
+    assert least_step == float(f"{least:.3g}")
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -205,6 +205,15 @@ def test_write_csv_rejects_columns_that_are_not_1d(tmp_path, column):
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "# run.seed = 7\n# note = plain text\n"])
+def test_read_csv_needs_a_column_header(tmp_path, text):
+    path = tmp_path / "h.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_csv(path)
+    assert type(info.value) is ValueError and str(info.value) == f"{path}: no column header found"
+
+
 metadata_keys = st.from_regex(r"[a-z][a-z0-9_.]{0,15}", fullmatch=True)
 metadata_values = st.one_of(
     st.integers(-(10**12), 10**12),

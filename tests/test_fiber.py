@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biphoton import (
+    ConfigurationError,
     DriftProcess,
     FiberChannel,
     drift_operators,
@@ -31,6 +32,25 @@ def test_fiber_rejects_bad_arguments():
         FiberChannel(k2=3.6e-26, geometric_length=240.0, passes="sideways")
     with pytest.raises(ValueError):
         FiberChannel(k2=3.6e-26, geometric_length=240.0, loss_db_per_km=-2.0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: DriftProcess(correlation_time=0.0), ConfigurationError,
+     "correlation_time must be finite and > 0"),
+    (lambda: DriftProcess(step_angle_scale=np.nan), ConfigurationError,
+     "step_angle_scale must be finite and >= 0"),
+    (lambda: DriftProcess(time_step=-1.0), ConfigurationError, "time_step must be finite and > 0"),
+    (lambda: drift_operators(DriftProcess(), []), ValueError,
+     "sample times must be a non-empty 1-d sequence"),
+    (lambda: drift_operators(DriftProcess(), [0.0, -60.0]), ValueError,
+     "sample times must be finite and >= 0"),
+    (lambda: FiberChannel(k2=np.inf, geometric_length=240.0), ConfigurationError,
+     "k2 must be finite"),
+])
+def test_fiber_inputs_are_checked(build, error, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_tau_f_reference_value(fiber, crystal):

@@ -52,6 +52,14 @@ def test_grid_requires_power_of_two():
         FrequencyGrid(n=128, omega_max=1e15)
 
 
+@pytest.mark.parametrize("omega_max", [0.0, -1e15, np.nan, np.inf])
+def test_grid_requires_a_finite_positive_omega_max(omega_max):
+    with pytest.raises(ValueError) as info:
+        FrequencyGrid(n=512, omega_max=omega_max)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"omega_max must be finite and > 0, got {omega_max!r}"
+
+
 def test_grid_layout(grid):
     w = grid.omegas
     assert w.shape == (grid.n - 1,)
