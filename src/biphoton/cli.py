@@ -53,7 +53,7 @@ from .csvio import write_csvs
 from .errors import ConfigurationError
 from .fiber import DriftProcess, FiberChannel, drift_operators, tau_f, transmittance
 from .jones import RetarderSpec, retarder, round_trip, unitarity_residual
-from .state import CrystalParams, FrequencyGrid, apply_local, pdc_state
+from .state import MAX_SPECTRAL_SAMPLES, CrystalParams, FrequencyGrid, apply_local, pdc_state
 
 
 @dataclass(frozen=True)
@@ -241,22 +241,25 @@ def _load_config(
             gvm=values["crystal.gvm_s_per_m"],
             length=values["crystal.crystal_length_m"],
         )
-        drift = DriftProcess(
-            correlation_time=values["drift.correlation_time_s"],
-            step_angle_scale=values["drift.step_angle_scale_rad"],
-            seed=values["sim.seed"],
-            time_step=values["drift.time_step_s"],
-        )
+        with _config_keys("drift.correlation_time_s, drift.step_angle_scale_rad, "
+                          "drift.time_step_s"):
+            drift = DriftProcess(
+                correlation_time=values["drift.correlation_time_s"],
+                step_angle_scale=values["drift.step_angle_scale_rad"],
+                seed=values["sim.seed"],
+                time_step=values["drift.time_step_s"],
+            )
         fiber = FiberChannel(
             k2=values["fiber.k2_s2_per_m"],
             geometric_length=values["fiber.geometric_length_m"],
             passes=values["fiber.passes"],
             loss_db_per_km=values["fiber.loss_db_per_km"],
         )
-        grid = FrequencyGrid(
-            n=values["grid.n"],
-            omega_max=values["grid.half_range_lobes"] * np.pi / crystal.tau0,
-        )
+        with _config_keys("grid.n"):  # only the check of n raises a ConfigurationError
+            grid = FrequencyGrid(
+                n=values["grid.n"],
+                omega_max=values["grid.half_range_lobes"] * np.pi / crystal.tau0,
+            )
         plate = RetarderSpec(values["plate.delta_rad"], values["plate.alpha_rad"])
         detectors = DetectorParams(
             jitter_sigma=values["detector.jitter_sigma_s"],
@@ -298,8 +301,8 @@ def _require_dispersion(cfg: ScenarioConfig) -> float:
 
 # Work bounds of one run, checked before anything is allocated.  Measured tracemalloc peaks of
 # whole runs: a grid point takes about 161 bytes in g2-curves at 2^20 points and 140 in
-# histogram at 2^16, so 2^22 points cost about 0.55 to 0.65 GiB; bell-postselect evaluates
-# nothing per grid point, so the cap covers those two.  The CSV writer adds one text per
+# histogram at 2^16, so state.MAX_SPECTRAL_SAMPLES = 2^22 points cost 0.55 to 0.65 GiB;
+# bell-postselect, with no work per grid point, is not capped.  The CSV writer adds one text per
 # distinct number of a 131,072-row chunk, about 80 bytes each: up to 60 MiB for g2-curves' six
 # columns, which sets its peak below about 2^19 points.  The histogram's channel-law
 # temporaries, about 0.8 MiB at any size, are set by coincidence._CHUNK.  The state's Gram
@@ -315,7 +318,6 @@ def _require_dispersion(cfg: ScenarioConfig) -> float:
 # walk step takes about 97 bytes (its draws and the blocked prefix scan; operators are built
 # only at the samples), so 2^22 steps cost about 0.4 GiB; a drift-series row about 250 bytes
 # (operators, round trips and the visibility's entry arrays), so 2^20 rows cost 0.25 GiB.
-_MAX_GRID_N = 1 << 22
 _MAX_SURFACE_ROWS = 1 << 22
 _MAX_HISTOGRAM_CHANNELS = 1 << 22
 _MAX_DRIFT_STEPS = 1 << 22
@@ -342,20 +344,27 @@ def _config_keys(keys: str):
 
 
 def _plate_state(cfg: ScenarioConfig):
-    # past 65,536 lobes the state's Gram integral needs more than MAX_WINDOW_NODES nodes
+    # past 65,536 lobes the state's Gram integral needs more than MAX_SPECTRAL_SAMPLES nodes
     with _config_keys(f"grid.half_range_lobes = {cfg['grid.half_range_lobes']}"):
         state = pdc_state(cfg.crystal, cfg.grid)
     return apply_local(state, retarder(cfg.plate.delta, cfg.plate.alpha))
 
 
-def scenario_g2_curves(cfg: ScenarioConfig) -> Result:
-    scale = _require_dispersion(cfg)
-    _check_work("grid.n", cfg.grid.n, "grid points", _MAX_GRID_N)
+def _plated_pair(cfg: ScenarioConfig):
+    """The plated state and its ++ and +- g2_numeric results, the only work per grid point."""
+    _check_work("grid.n", cfg.grid.n, "grid points", MAX_SPECTRAL_SAMPLES)
     state = _plate_state(cfg)
     with _config_keys("fiber.k2_s2_per_m, fiber.geometric_length_m, grid.n"):
-        plus, minus = (g2_numeric(state, cfg.fiber, arms) for arms in (PLUS_PLUS, PLUS_MINUS))
-    ana_plus = g2_analytic(plus.tau_grid, scale, cfg.plate, "plus")
-    ana_minus = g2_analytic(minus.tau_grid, scale, cfg.plate, "minus")
+        return state, *(g2_numeric(state, cfg.fiber, arms) for arms in (PLUS_PLUS, PLUS_MINUS))
+
+
+def scenario_g2_curves(cfg: ScenarioConfig) -> Result:
+    scale = _require_dispersion(cfg)
+    state, plus, minus = _plated_pair(cfg)
+    with _config_keys("crystal.gvm_s_per_m, crystal.crystal_length_m, fiber.k2_s2_per_m, "
+                      "fiber.geometric_length_m"):
+        ana_plus = g2_analytic(plus.tau_grid, scale, cfg.plate, "plus")
+        ana_minus = g2_analytic(minus.tau_grid, scale, cfg.plate, "minus")
     num_peak = max(plus.g2.max(), minus.g2.max())
     ana_peak = max(ana_plus.max(), ana_minus.max())
     rows = state.rows_at(cfg.grid.omegas)  # the grid's sum of |amp|^2 dOmega misses 1 by:
@@ -483,10 +492,7 @@ def scenario_histogram(cfg: ScenarioConfig) -> Result:
                 _MAX_POISSON_TOTAL)
     _check_work("expected background total from detector.dark_rate_per_channel_hz",
                 det.dark_background_rate * acquisition * n_channels, "counts", _MAX_POISSON_TOTAL)
-    _check_work("grid.n", cfg.grid.n, "grid points", _MAX_GRID_N)
-    state = _plate_state(cfg)
-    with _config_keys("fiber.k2_s2_per_m, fiber.geometric_length_m, grid.n"):
-        plus, minus = (g2_numeric(state, cfg.fiber, arms) for arms in (PLUS_PLUS, PLUS_MINUS))
+    _, plus, minus = _plated_pair(cfg)
     # Arm seeds from SeedSequence([seed, arm]): no arm replays another seed's arm.
     seeds = [int(np.random.SeedSequence([cfg["sim.seed"], arm]).generate_state(1, np.uint64)[0])
              for arm in (0, 1)]

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .fiber import FiberChannel
 from .jones import RetarderSpec, analyzer_vector
-from .state import PSI_MINUS, PSI_PLUS, BiphotonState, CrystalParams, FrequencyGrid, _both_photons
+from .state import (MAX_SPECTRAL_SAMPLES, PSI_MINUS, PSI_PLUS, BiphotonState, CrystalParams,
+                    FrequencyGrid, _both_photons)
 
 Normalization = Literal["raw"]
 
@@ -92,7 +93,11 @@ def g2_analytic(
         raise ConfigurationError(f"tau_f_scale must be finite and > 0, got {tau_f_scale!r}")
     if which not in ("plus", "minus"):
         raise ValueError(f"which must be 'plus' or 'minus', got {which!r}")
-    t = np.asarray(tau, dtype=float) / tau_f_scale
+    with np.errstate(over="ignore"):
+        t = np.asarray(tau, dtype=float) / tau_f_scale
+    if not np.all(np.isfinite(t)):
+        raise ConfigurationError(f"tau / tau_f_scale is not finite on this tau axis "
+                                 f"(tau_f_scale = {tau_f_scale!r} s)")
     delta = plate.delta if plate is not None else 0.0
     alpha = plate.alpha if plate is not None else 0.0
     sinc2 = np.sinc(t / np.pi) ** 2
@@ -140,8 +145,8 @@ def g2_numeric(
     dOmega < pi/4; Voelz & Roggemann, Appl. Opt. 48, 6132 (2009)), k2 z = 0 included, the
     chirped amplitude is transformed exactly with kernel e^{-i Omega tau} (tau = t1 - t2).
     Elsewhere the result is the far-field image |A(Omega)|^2 on tau = 2 k2 z Omega
-    (``g2_analytic``'s limit) if ``require_far_field`` passes; if not, the refusal also
-    names the least grid.n that samples the chirp.  Expects the state before dispersion.
+    (``g2_analytic``'s limit) if ``require_far_field`` passes; if not, the refusal names the
+    least grid.n that samples the chirp, else the most lobes that MAX_SPECTRAL_SAMPLES do.
     """
     grid, omegas = state.grid, state.grid.omegas
     e1, e2 = (analyzer_vector(theta).conj() for theta in (analyzer.theta1, analyzer.theta2))
@@ -151,11 +156,16 @@ def g2_numeric(
     if step >= FAR_FIELD_EDGE_STEP:
         try:
             require_far_field(fiber, state.crystal)
-        except ConfigurationError as err:  # the step falls as 1 / (n - 2): name the least n
-            n = 2 << int(math.log2(2.0 + step * (grid.n - 2) / FAR_FIELD_EDGE_STEP))
-            raise ConfigurationError(
-                f"{err}; {grid.n} points miss the chirp (edge step {step:.3g} rad >= pi/4),"
-                f" grid.n = {n} samples it ({step * (grid.n - 2) / (n - 2):.3g} rad)") from None
+        except ConfigurationError as err:  # the step goes as lobes^2 / (n - 2): name the least n
+            span, lobes = step * (grid.n - 2), grid.omega_max * state.crystal.tau0 / np.pi
+            n = min(2 << int(math.log2(2.0 + span / FAR_FIELD_EDGE_STEP)), MAX_SPECTRAL_SAMPLES)
+            top = span / (n - 2)  # if not below pi/4, |k2 z| < 500 tau0^2 still fits 18 lobes
+            most = math.ceil(lobes * math.sqrt(FAR_FIELD_EDGE_STEP / top)) - 1
+            advice = (f"grid.n = {n} samples it ({top:.3g} rad)" if top < FAR_FIELD_EDGE_STEP else
+                      f"no grid.n up to {n} samples it; at that grid.n, grid.half_range_lobes = "
+                      f"{most} does ({top * (most / lobes) ** 2:.3g} rad)")
+            raise ConfigurationError(f"{err}; {grid.n} points miss the chirp (edge step "
+                                     f"{step:.3g} rad >= pi/4), {advice}") from None
         tau = 2.0 * k2z * omegas
         g2 = np.abs(a) ** 2
         if tau[1] < tau[0]:

@@ -61,6 +61,15 @@ class DriftProcess:
             object.__setattr__(self, "time_step", self.correlation_time / 100.0)
         if not np.isfinite(self.time_step) or self.time_step <= 0.0:
             raise ConfigurationError("time_step must be finite and > 0")
+        if not np.isfinite(self.step_width):
+            raise ConfigurationError(f"step width step_angle_scale * sqrt(time_step / "
+                                     f"correlation_time) = {self.step_width} is not finite")
+
+    @property
+    def step_width(self) -> float:
+        """Standard deviation of one step's angle, in rad; inf or nan past the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.step_angle_scale * np.sqrt(self.time_step / self.correlation_time)
 
 
 def drift_walk(process: DriftProcess, steps) -> np.ndarray:
@@ -105,8 +114,7 @@ def _step_pairs(process: DriftProcess, n_steps: int, size: int):
     axes[bad] = (0.0, 0.0, 1.0)
     norms[bad] = 1.0
     axes /= norms[:, None]
-    sigma = process.step_angle_scale * np.sqrt(process.time_step / process.correlation_time)
-    angles = rng_angle.normal(size=n_steps) * sigma
+    angles = rng_angle.normal(size=n_steps) * process.step_width
     c = np.cos(angles / 2.0)
     s = np.sin(angles / 2.0)
     a = np.ones(size, dtype=complex)

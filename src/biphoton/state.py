@@ -22,7 +22,7 @@ from .errors import ConfigurationError
 
 # The 16-node Gauss-Legendre rule of a half-lobe Gram panel; numpy.polynomial loads on first use.
 _gauss_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(16))
-MAX_WINDOW_NODES = 1 << 22  # nodes of one Gram integral at most: the command line's largest grid
+MAX_SPECTRAL_SAMPLES = 1 << 22  # grid points, or nodes of one Gram integral, at most
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class FrequencyGrid:
 
     def __post_init__(self) -> None:
         if self.n < 256 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 256, got {self.n}")
+            raise ConfigurationError(f"n must be a power of two >= 256, got {self.n}")
         if not np.isfinite(self.omega_max) or self.omega_max <= 0.0:
             raise ValueError(f"omega_max must be finite and > 0, got {self.omega_max!r}")
 
@@ -116,7 +116,7 @@ class BiphotonState:
 
         One Gauss-Legendre panel per half lobe pi / (2 tau0) the band meets:
         exact to rounding.  An empty band, or one with a nan edge, gives 0; a
-        band of more than MAX_WINDOW_NODES nodes raises ConfigurationError.
+        band of more than MAX_SPECTRAL_SAMPLES nodes raises ConfigurationError.
         """
         lo, hi = max(lo, -self.grid.omega_max), min(hi, self.grid.omega_max)
         if not lo < hi:
@@ -125,9 +125,9 @@ class BiphotonState:
         # the cap counts half lobes, not panels, which may add a sliver of rounding at
         # each end; 1e-12 allows for the rounding of the span itself
         span = hi / half_lobe - lo / half_lobe
-        if not span * len(nodes) <= MAX_WINDOW_NODES * (1.0 + 1e-12):
+        if not span * len(nodes) <= MAX_SPECTRAL_SAMPLES * (1.0 + 1e-12):
             raise ConfigurationError(f"band [{lo:.3g}, {hi:.3g}] rad/s spans {span:.6g} half "
-                                     f"lobes, more than {MAX_WINDOW_NODES} quadrature nodes")
+                                     f"lobes, more than {MAX_SPECTRAL_SAMPLES} quadrature nodes")
         first, last = math.floor(lo / half_lobe), math.ceil(hi / half_lobe)
         edges = np.clip(np.arange(first, last + 1) * half_lobe, lo, hi)
         mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0

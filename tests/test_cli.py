@@ -41,6 +41,7 @@ from biphoton import fiber as fiber_module
 from biphoton.correlation import chirp_edge_step
 from biphoton.csvio import read_csv, write_csv, write_csvs
 from biphoton.jones import ATOL_COMPOSED
+from biphoton.state import MAX_SPECTRAL_SAMPLES
 from oracles import continuum_gram, continuum_postselect
 
 TAU_F = 6.912e-10
@@ -376,7 +377,7 @@ def test_largest_allowed_grid_reaches_the_state(tmp_path, monkeypatch, capsys):
         raise RuntimeError("pdc_state reached")
 
     monkeypatch.setattr(cli, "pdc_state", reached)
-    assert run(tmp_path, "g2-curves", f"--grid.n={cli._MAX_GRID_N}") == 3
+    assert run(tmp_path, "g2-curves", f"--grid.n={MAX_SPECTRAL_SAMPLES}") == 3
     assert "pdc_state reached" in capsys.readouterr().err
 
 
@@ -904,6 +905,69 @@ def test_g2_on_a_weak_fiber_needs_a_grid_that_samples_the_chirp(tmp_path, capsys
                    "chirp (edge step 4.76 rad >= pi/4), grid.n = 4096 samples it (0.592 rad)\n")
     assert not (tmp_path / "out").exists()
     assert run(tmp_path, scenario, "--fiber.k2_s2_per_m=1e-29", "--grid.n=65536") == 0
+
+
+@pytest.mark.parametrize("scenario", ["g2-curves", "histogram"])
+def test_g2_past_the_largest_grid_names_the_most_lobes_it_samples(tmp_path, capsys, scenario):
+    # |tau_f| = 0.96 ps, just below 1000 tau0: the least grid that samples the chirp at 32
+    # lobes has 2^24 points, past MAX_SPECTRAL_SAMPLES, so the refusal names the most lobes
+    # that 2^22 points sample instead (edge step 0.732 rad at 18 lobes, 0.815 at 19)
+    overrides = ("--fiber.k2_s2_per_m=2.5e-27", "--grid.half_range_lobes=32")
+    assert run(tmp_path, scenario, *overrides) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: fiber.k2_s2_per_m, fiber.geometric_length_m, grid.n: "
+                   "|tau_f| = 4.8e-11 s is below 1000 tau0 = 5e-11 s; 512 points miss the "
+                   "chirp (edge step 1.9e+04 rad >= pi/4), no grid.n up to 4194304 samples it; "
+                   "at that grid.n, grid.half_range_lobes = 18 does (0.732 rad)\n")
+    assert not (tmp_path / "out").exists()
+    steps = []
+    for lobes in (18, 19):
+        cfg = cli._load_config(None, cli._parse_overrides(
+            [overrides[0], f"--grid.half_range_lobes={lobes}", f"--grid.n={MAX_SPECTRAL_SAMPLES}"]))
+        steps.append(chirp_edge_step(cfg.grid, cfg.fiber))
+    assert steps[0] < np.pi / 4 <= steps[1]
+    assert f"{steps[0]:.3g}" == "0.732"
+
+
+@pytest.mark.parametrize("scenario", ["g2-curves", "bell-postselect"])
+def test_grid_n_refusal_names_its_key(tmp_path, capsys, scenario):
+    assert run(tmp_path, scenario, "--grid.n=300") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: grid.n: n must be a power of two >= 256, got 300\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, width", [
+    (("--drift.correlation_time_s=1e-320",), "inf"),
+    (("--drift.step_angle_scale_rad=1e308", "--drift.time_step_s=3600"), "inf"),
+    (("--drift.step_angle_scale_rad=0", "--drift.correlation_time_s=1e-320"), "nan"),
+])
+def test_drift_step_width_past_the_float_range_is_config_error(tmp_path, monkeypatch, capsys,
+                                                                 overrides, width):
+    # every key passes its own check, but the walk's step width
+    # step_angle_scale * sqrt(time_step / correlation_time) is not a number
+    monkeypatch.setattr(cli, "drift_operators", fail)
+    assert run(tmp_path, "drift-series", *overrides) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: drift.correlation_time_s, drift.step_angle_scale_rad, "
+                   "drift.time_step_s: step width step_angle_scale * sqrt(time_step / "
+                   f"correlation_time) = {width} is not finite\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_g2_analytic_past_the_float_range_is_config_error(tmp_path, capsys):
+    # tau0 = 1e240 s and tau_f = 3.5e-263 s: tau / tau_f overflows on the exact
+    # route's tau axis, whose analytic column was all nan
+    assert run(tmp_path, "g2-curves", "--crystal.crystal_length_m=1e250") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: crystal.gvm_s_per_m, crystal.crystal_length_m, "
+                   "fiber.k2_s2_per_m, fiber.geometric_length_m: tau / tau_f_scale is not "
+                   "finite on this tau axis (tau_f_scale = 3.456e-263 s)\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_too_narrow_bell_window_names_its_key(tmp_path, capsys):

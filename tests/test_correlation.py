@@ -34,6 +34,7 @@ from biphoton import (
 )
 from biphoton import state as state_module
 from biphoton.correlation import chirp_edge_step
+from biphoton.state import MAX_SPECTRAL_SAMPLES
 from oracles import (
     continuum_gram,
     continuum_postselect,
@@ -238,6 +239,54 @@ def test_far_field_refusal_names_the_least_grid_that_samples_the_chirp(crystal, 
     least, half = (chirp_edge_step(replace(state.grid, n=m), fiber) for m in (n, n // 2))
     assert least < np.pi / 4 <= half
     assert least_step == float(f"{least:.3g}")
+
+
+def far_field_refusal(crystal, ratio, lobes):
+    """g2_numeric's refusal on 512 points at k2 z = ratio tau0^2 and omega_max = lobes pi / tau0."""
+    fiber = FiberChannel(k2=ratio * crystal.tau0**2 / 250.0, geometric_length=250.0)
+    state = pdc_state(crystal, FrequencyGrid(n=512, omega_max=lobes * np.pi / crystal.tau0))
+    with pytest.raises(ConfigurationError) as info:
+        g2_numeric(state, fiber, PLUS_PLUS)
+    return fiber, str(info.value)
+
+
+@pytest.mark.parametrize("ratio, lobes", [(480.0, 32), (-499.0, 20), (-200.0, 40), (3.0, 300),
+                                          (0.5, 700)])
+def test_far_field_refusal_past_the_largest_grid_names_the_most_lobes_it_samples(
+        crystal, ratio, lobes):
+    # The edge step is 2 |ratio| pi^2 lobes^2 / (n - 2): at these lobe counts not even
+    # MAX_SPECTRAL_SAMPLES points sample the chirp, so the refusal names the most lobes
+    # that grid samples, at least 18 while |tau_f| = 2 |ratio| tau0 < 1000 tau0.
+    fiber, text = far_field_refusal(crystal, ratio, lobes)
+    message = re.fullmatch(r"\|tau_f\| = \S+ s is below 1000 tau0 = 5e-11 s; 512 points miss the "
+                           r"chirp \(edge step \S+ rad >= pi/4\), no grid.n up to (\d+) samples "
+                           r"it; at that grid.n, grid.half_range_lobes = (\d+) does \((\S+) rad\)",
+                           text)
+    n, most, most_step = int(message[1]), int(message[2]), float(message[3])
+    assert n == MAX_SPECTRAL_SAMPLES and 18 <= most < lobes
+
+    def edge_step(lobes):
+        return chirp_edge_step(FrequencyGrid(n=n, omega_max=lobes * np.pi / crystal.tau0), fiber)
+
+    assert edge_step(most) < np.pi / 4 <= edge_step(most + 1)
+    assert most_step == float(f"{edge_step(most):.3g}")
+
+
+@pytest.mark.parametrize("ratio", [0.4, -3.0, 40.0, 450.0])
+@pytest.mark.parametrize("lobes", [8, 64, 512])
+def test_far_field_refusal_names_no_grid_past_the_largest(crystal, ratio, lobes):
+    # every case misses the chirp on 512 points; four need more than 2^22 points
+    _, text = far_field_refusal(crystal, ratio, lobes)
+    named = [int(n) for n in re.findall(r"grid\.n (?:=|up to) (\d+)", text)]
+    assert len(named) == 1 and named[0] <= MAX_SPECTRAL_SAMPLES
+
+
+@pytest.mark.parametrize("tau", [1e240, [0.0, -1e240], np.nan, [0.0, np.inf]])
+def test_g2_analytic_refuses_a_tau_axis_past_the_float_range(tau):
+    with pytest.raises(ConfigurationError) as info:
+        g2_analytic(tau, 3.456e-263)
+    assert str(info.value) == ("tau / tau_f_scale is not finite on this tau axis "
+                               "(tau_f_scale = 3.456e-263 s)")
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -53,6 +53,29 @@ def test_fiber_inputs_are_checked(build, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+@pytest.mark.parametrize("kwargs, width", [
+    ({"correlation_time": 1e-320, "time_step": 3.6}, "inf"),
+    ({"step_angle_scale": 1e308, "time_step": 3600.0}, "inf"),
+    ({"step_angle_scale": 0.0, "correlation_time": 1e-320, "time_step": 3.6}, "nan"),
+])
+def test_drift_refuses_a_step_width_past_the_float_range(kwargs, width):
+    with pytest.raises(ConfigurationError) as info:
+        DriftProcess(**kwargs)
+    assert str(info.value) == ("step width step_angle_scale * sqrt(time_step / correlation_time)"
+                               f" = {width} is not finite")
+
+
+def test_step_width_is_the_walks_sigma_to_the_bit():
+    # the walk's former sigma, scale * np.sqrt(time_step / correlation_time)
+    rng = np.random.default_rng(3)
+    values = 10.0 ** rng.uniform(-100, 100, (200, 3))
+    processes = [DriftProcess(), DriftProcess(correlation_time=1e-320)] + [
+        DriftProcess(correlation_time=c, step_angle_scale=a, time_step=t)
+        for c, a, t in [*values[:100], *values[100:].tolist()]]
+    for p in processes:
+        assert p.step_width == p.step_angle_scale * np.sqrt(p.time_step / p.correlation_time)
+
+
 def test_tau_f_reference_value(fiber, crystal):
     # 2 * 3.6e-26 * 480 / 5e-14
     assert tau_f(fiber, crystal) == pytest.approx(6.912e-10, rel=1e-12)

@@ -171,7 +171,7 @@ def test_state_of_the_most_lobes_fits_the_node_cap(monkeypatch):
     # 16 nodes per half lobe, 4 half lobes per lobe: a cap of 448 nodes takes 7
     # lobes each side; omega_max = 7 pi / tau0 rounds either way of 14 half lobes,
     # and a count of panels is one or two over for 40 of these 300 crystals
-    monkeypatch.setattr(state_module, "MAX_WINDOW_NODES", 448)
+    monkeypatch.setattr(state_module, "MAX_SPECTRAL_SAMPLES", 448)
     rng = np.random.default_rng(5)
     for gvm, length in zip(10.0 ** rng.uniform(-14, -8, 300), 10.0 ** rng.uniform(-5, -1, 300)):
         crystal = CrystalParams(pump_wavelength=351e-9, gvm=gvm, length=length)
